@@ -39,14 +39,6 @@ DDRACE_WORKERS=1 cargo test -q --test trace_pipeline
 echo "==> trace pipeline (golden bytes + ingest resume) at DDRACE_WORKERS=8"
 DDRACE_WORKERS=8 cargo test -q --test trace_pipeline
 
-# The run-queue picker must stay bit-identical to the legacy scan at any
-# worker count (the suite also cross-checks every pick in debug builds).
-echo "==> schedule equivalence at DDRACE_WORKERS=1"
-DDRACE_WORKERS=1 cargo test -q -p ddrace-bench --test schedule_equivalence
-
-echo "==> schedule equivalence at DDRACE_WORKERS=8"
-DDRACE_WORKERS=8 cargo test -q -p ddrace-bench --test schedule_equivalence
-
 # Smoke the variant axis end to end: the ported A3 binary sweeps cache
 # geometry as campaign variants, checkpointing to a scratch event stream.
 echo "==> variant-sweep smoke (ported A3 at test scale)"
@@ -105,9 +97,9 @@ rm -rf "$SYNC_SMOKE_DIR"
 echo "==> ingest smoke (2 workloads, fasttrack+djit, workers 1 vs 8)"
 INGEST_SMOKE_DIR=$(mktemp -d)
 ./target/release/ddrace record --bench unprotected_counter --scale test \
-    --format binary --out "$INGEST_SMOKE_DIR/counter.ddrt" > /dev/null
+    --out "$INGEST_SMOKE_DIR/counter.ddrt" > /dev/null
 ./target/release/ddrace record --bench sparse_race --scale test \
-    --format binary --out "$INGEST_SMOKE_DIR/sparse.ddrt" > /dev/null
+    --out "$INGEST_SMOKE_DIR/sparse.ddrt" > /dev/null
 ./target/release/ddrace ingest \
     --traces "$INGEST_SMOKE_DIR/counter.ddrt,$INGEST_SMOKE_DIR/sparse.ddrt" \
     --detectors fasttrack,djit --workers 1 --quiet \
@@ -154,7 +146,7 @@ DDRACE_WORKERS=8 cargo test -q -p ddrace-conform --test parallel_replay
 echo "==> ingest replay-workers smoke (1 vs 8 workers)"
 REPLAY_SMOKE_DIR=$(mktemp -d)
 ./target/release/ddrace record --bench unprotected_counter --scale test \
-    --format binary --out "$REPLAY_SMOKE_DIR/counter.ddrt" > /dev/null
+    --out "$REPLAY_SMOKE_DIR/counter.ddrt" > /dev/null
 ./target/release/ddrace ingest \
     --traces "$REPLAY_SMOKE_DIR/counter.ddrt" \
     --detectors fasttrack --quiet --replay-workers 1 \
@@ -170,11 +162,6 @@ sed 's/replay_workers": [0-9]*/replay_workers": N/' \
 diff "$REPLAY_SMOKE_DIR/par1.norm" "$REPLAY_SMOKE_DIR/par8.norm"
 rm -rf "$REPLAY_SMOKE_DIR"
 
-# Smoke-run the substrate bench: gates on panics/divergence (both
-# detector variants must agree), never on perf — CI boxes are too noisy.
-echo "==> bench_substrate --smoke"
-cargo run --release -q -p ddrace-bench --bin bench_substrate -- --smoke
-
 # Smoke-run the native-monitor scaling bench: gates on the JSON schema
 # and nonzero throughput, never on ratios (CI boxes are too noisy).
 echo "==> bench_native --smoke"
@@ -184,6 +171,13 @@ cargo run --release -q -p ddrace-bench --bin bench_native -- --smoke
 # throughput, never on the speedup ratio (CI boxes are too noisy).
 echo "==> bench_ingest --smoke"
 cargo run --release -q -p ddrace-bench --bin bench_ingest -- --smoke
+
+# The end-to-end benchmark is a package of its own (not a workspace
+# member). Its self-test runs one small round of every pipeline through
+# the correctness gate, and is the only check that it still compiles
+# against the workspace APIs it names.
+echo "==> bench_e2e self-test"
+cargo test -q --release --manifest-path bench_e2e/Cargo.toml
 
 # Real-hardware backend feature gate. CI boxes may not grant
 # perf_event_open (perf_event_paranoid, containers), so this stage gates

@@ -39,7 +39,7 @@
 
 use ddrace_detector::{DetectorConfig, DetectorStats, FastTrack, RaceDetector, RaceReportSet};
 use ddrace_json::Value;
-use ddrace_native::{replay_events, ParallelReplayConfig, ParallelReplayDetector};
+use ddrace_native::{ParallelReplayConfig, ParallelReplayDetector};
 use ddrace_program::{Addr, LockId, Op, ThreadId, TraceEvent};
 use ddrace_shadow::shard_of;
 use ddrace_trace::{decode_events_into, decode_events_into_parallel, TraceWriter};
@@ -212,7 +212,9 @@ fn main() {
     decode_events_into(bytes.as_slice(), |e| decoded.push(e.clone())).expect("decode trace");
     let expected = {
         let mut ft = FastTrack::new(DetectorConfig::default());
-        replay_events(&mut ft, &decoded);
+        for event in &decoded {
+            ft.replay_event(event);
+        }
         assert_eq!(
             ft.reports().distinct(),
             0,
@@ -235,7 +237,9 @@ fn main() {
     let check_only = measure("check_only", accesses, samples, || {
         let mut ft = FastTrack::new(DetectorConfig::default());
         let start = Instant::now();
-        replay_events(&mut ft, &decoded);
+        for event in &decoded {
+            ft.replay_event(event);
+        }
         let ns = start.elapsed().as_nanos() as u64;
         criterion::black_box(ft.stats().accesses_checked);
         ns
@@ -255,24 +259,7 @@ fn main() {
     let serial = measure("serial", accesses, samples, || {
         let mut ft = FastTrack::new(DetectorConfig::default());
         let start = Instant::now();
-        decode_events_into(bytes.as_slice(), |event| match event {
-            TraceEvent::ThreadStarted { tid, parent } => ft.on_thread_start(*tid, *parent),
-            TraceEvent::ThreadFinished { tid } => ft.on_thread_finish(*tid),
-            TraceEvent::BarrierReleased {
-                barrier,
-                participants,
-            } => ft.on_barrier_release(*barrier, participants),
-            TraceEvent::Op { tid, op } => match op {
-                Op::Read { addr } => {
-                    ft.on_access(*tid, *addr, ddrace_program::AccessKind::Read);
-                }
-                Op::Write { addr } => {
-                    ft.on_access(*tid, *addr, ddrace_program::AccessKind::Write);
-                }
-                other => ft.on_sync(*tid, other),
-            },
-        })
-        .expect("decode trace");
+        decode_events_into(bytes.as_slice(), |event| ft.replay_event(event)).expect("decode trace");
         start.elapsed().as_nanos() as u64
     });
 
@@ -292,7 +279,7 @@ fn main() {
                     });
                     let start = Instant::now();
                     decode_events_into_parallel(bytes.as_slice(), workers.min(8), |event| {
-                        det.push_event(event)
+                        det.replay_event(event)
                     })
                     .expect("decode trace");
                     let out = det.finish();

@@ -12,14 +12,13 @@
 //! - [`gen`] — seeded spec generation, biased toward lock, fork-join,
 //!   barrier, and deliberately racy structures;
 //! - [`refdet`] — [`RefHb`](refdet::RefHb), a from-spec reference
-//!   happens-before detector over a plain `HashMap`, plus
-//!   [`feed_trace`](refdet::feed_trace) and the planted
+//!   happens-before detector over a plain `HashMap`, plus the planted
 //!   [`Fault`](refdet::Fault) hook that proves the oracles can catch real
 //!   bugs;
-//! - [`oracles`] — the battery: differential (FastTrack vs Djit⁺ vs
-//!   reference; demand ⊆ continuous with every miss attributed; scheduler
-//!   picker equivalence) and metamorphic (thread permutation, address
-//!   translation, compute padding);
+//! - [`oracles`] — the battery: differential (record/replay round trip;
+//!   FastTrack vs Djit⁺ vs reference; demand ⊆ continuous with every miss
+//!   attributed) and metamorphic (thread permutation, address
+//!   translation, compute padding, relaxed upgrades);
 //! - [`shrink`] — greedy spec minimization of failures into ≤-a-handful
 //!   of-ops reproducers;
 //! - [`campaign`] — the `ddrace fuzz` campaign on the harness worker
@@ -41,6 +40,6 @@ pub use campaign::{
 };
 pub use gen::{generate, Archetype};
 pub use oracles::{check_spec, check_spec_with, SpecVerdict, Violation};
-pub use refdet::{feed_trace, Fault, RefHb};
+pub use refdet::{Fault, RefHb};
 pub use shrink::{shrink_spec, SHRINK_BUDGET};
 pub use spec::{FuzzOp, FuzzRound, FuzzSpec};

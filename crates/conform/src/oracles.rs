@@ -2,15 +2,18 @@
 //!
 //! **Differential oracles** compare independent implementations on the
 //! *same interleaving* (a recorded [`Trace`], so scheduling can never
-//! explain a difference):
+//! explain a difference). Every simulator run replays the trace's DDRT
+//! encoding through [`ddrace_harness::replay`], the path `ddrace ingest`
+//! and `ddrace analyze` take:
 //!
+//! - *record-replay* — the DDRT round trip is invisible: the decoded
+//!   events equal the recorded ones, so every replay below sees exactly
+//!   the recorded interleaving;
 //! - *detector agreement* — FastTrack and Djit⁺ must report the same
 //!   racy-variable set ([`ddrace_detector::racy_keys`]);
 //! - *reference divergence* — the production Djit⁺ must match [`RefHb`]
 //!   (an independent reimplementation over `HashMap` instead of the
 //!   open-addressed shadow table) **byte-for-byte** on report vectors;
-//! - *picker equivalence* — the `RunQueue` and `LegacyScan` schedulers
-//!   must resolve the program to identical traces;
 //! - *demand subset* — demand-driven analysis may only ever report a
 //!   subset of the continuous racy-variable set, with the controller's
 //!   bookkeeping consistent (no PMIs ⇒ no reports; no enables ⇒ no
@@ -33,13 +36,12 @@
 //! are ordinary checked data accesses with no edge semantics to diverge
 //! on.
 
-use crate::refdet::{feed_trace, Fault, RefHb};
+use crate::refdet::{Fault, RefHb};
 use crate::spec::FuzzSpec;
-use ddrace_core::{AnalysisMode, DetectorKind, RunResult, SimConfig, Simulation};
+use ddrace_core::{AnalysisMode, DetectorKind, RunResult, SimConfig};
 use ddrace_detector::{racy_keys, DetectorConfig, RaceDetector};
-use ddrace_program::{
-    AddressSpace, Op, PickStrategy, SchedulerConfig, ThreadId, Trace, TraceEvent,
-};
+use ddrace_program::{AddressSpace, Op, SchedulerConfig, ThreadId, Trace, TraceEvent};
+use ddrace_trace::{decode_events_into, TraceWriter};
 
 /// One failed oracle check: which oracle, and a human-readable account of
 /// the disagreement. Serialized into fuzz events and reproducer files.
@@ -87,9 +89,7 @@ pub fn check_spec_with(spec: &FuzzSpec, fault: Fault) -> SpecVerdict {
     let mut verdict = SpecVerdict::default();
     let scheduler = SchedulerConfig::jittered(spec.seed);
 
-    // Picker equivalence: both runnable-thread pickers must resolve the
-    // program to the same event stream.
-    let trace = match Trace::record_with(spec.to_program(), scheduler, PickStrategy::RunQueue) {
+    let trace = match Trace::record(spec.to_program(), scheduler) {
         Ok(t) => t,
         Err(e) => {
             // Specs are deadlock-free by construction; a schedule error is
@@ -100,24 +100,31 @@ pub fn check_spec_with(spec: &FuzzSpec, fault: Fault) -> SpecVerdict {
             return verdict;
         }
     };
-    match Trace::record_with(spec.to_program(), scheduler, PickStrategy::LegacyScan) {
-        Ok(legacy) => {
-            if legacy != trace {
-                verdict.violations.push(Violation::new(
-                    "picker-equivalence",
-                    format!(
-                        "RunQueue and LegacyScan recorded different traces \
-                         ({} vs {} events)",
-                        trace.events().len(),
-                        legacy.events().len()
-                    ),
-                ));
-            }
-        }
-        Err(e) => verdict.violations.push(Violation::new(
-            "picker-equivalence",
-            format!("LegacyScan failed to schedule: {e}"),
+
+    // Record/replay faithfulness, first: every later oracle replays the
+    // trace's DDRT encoding, so a lossy round trip must stop the battery
+    // here. Decoding streams through the codec one frame at a time, each
+    // decoded event compared as it arrives.
+    let bytes = encode(&trace);
+    let mut decoded = 0usize;
+    let mut mismatch = false;
+    let outcome = decode_events_into(bytes.as_slice(), |event| {
+        mismatch |= trace.events().get(decoded) != Some(event);
+        decoded += 1;
+    });
+    let lossy = match outcome {
+        Err(e) => Some(format!("trace round-trip failed: {e}")),
+        Ok(_) if mismatch || decoded != trace.events().len() => Some(format!(
+            "decoded event stream differs from the recorded one ({decoded} vs {} events)",
+            trace.events().len()
         )),
+        Ok(_) => None,
+    };
+    if let Some(detail) = lossy {
+        verdict
+            .violations
+            .push(Violation::new("record-replay", detail));
+        return verdict;
     }
 
     // Continuous runs of both production detectors on the same trace.
@@ -125,9 +132,9 @@ pub fn check_spec_with(spec: &FuzzSpec, fault: Fault) -> SpecVerdict {
         spec,
         AnalysisMode::Continuous,
         DetectorKind::FastTrack,
-        &trace,
+        &bytes,
     );
-    let dj = run(spec, AnalysisMode::Continuous, DetectorKind::Djit, &trace);
+    let dj = run(spec, AnalysisMode::Continuous, DetectorKind::Djit, &bytes);
     let keys_ft = racy_keys(&ft.races.reports);
     let keys_dj = racy_keys(&dj.races.reports);
     verdict.races_continuous = keys_ft.len() as u64;
@@ -141,71 +148,12 @@ pub fn check_spec_with(spec: &FuzzSpec, fault: Fault) -> SpecVerdict {
         ));
     }
 
-    // Record/replay faithfulness: round-tripping the event stream
-    // through the ddrace-trace binary format must be invisible — the
-    // decoded events are identical, and offline detection over them
-    // reproduces exactly the live racy-variable set. Decoding streams
-    // through the codec one frame at a time (each decoded event is
-    // compared and replayed as it arrives, never materialized as a
-    // second list), which is also how `ddrace ingest` consumes traces.
-    let mut writer = ddrace_trace::TraceWriter::new(Vec::new()).expect("in-memory trace writer");
-    for event in trace.events() {
-        writer.record_event(event);
-    }
-    match writer.finish() {
-        Err(e) => verdict.violations.push(Violation::new(
-            "record-replay",
-            format!("trace round-trip failed: {e}"),
-        )),
-        Ok(bytes) => {
-            let mut cfg = SimConfig::new(spec.cores.max(1) as usize, AnalysisMode::Continuous);
-            cfg.scheduler = SchedulerConfig::jittered(spec.seed);
-            cfg.detector_kind = DetectorKind::FastTrack;
-            let sim = Simulation::new(cfg);
-            let mut replay = sim.trace_replay();
-            let mut decoded = 0usize;
-            let mut mismatch = false;
-            let outcome = ddrace_trace::decode_events_into(bytes.as_slice(), |event| {
-                mismatch |= trace.events().get(decoded) != Some(event);
-                decoded += 1;
-                replay.push(event);
-            });
-            match outcome {
-                Err(e) => verdict.violations.push(Violation::new(
-                    "record-replay",
-                    format!("trace round-trip failed: {e}"),
-                )),
-                Ok(_) if mismatch || decoded != trace.events().len() => {
-                    verdict.violations.push(Violation::new(
-                        "record-replay",
-                        format!(
-                            "decoded event stream differs from the recorded one \
-                             ({decoded} vs {} events)",
-                            trace.events().len()
-                        ),
-                    ));
-                }
-                Ok(_) => {
-                    let replayed = replay.finish();
-                    let keys_r = racy_keys(&replayed.races.reports);
-                    if keys_r != keys_ft {
-                        verdict.violations.push(Violation::new(
-                            "record-replay",
-                            format!(
-                                "offline detection from the recorded trace diverges \
-                                 from live detection: {keys_ft:?} vs {keys_r:?}"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
     // Reference divergence: Djit vs the independent HashMap-backed
     // reimplementation, byte-for-byte.
     let mut reference = RefHb::with_fault(DetectorConfig::default(), fault);
-    feed_trace(&trace, &mut reference);
+    for event in trace.events() {
+        reference.replay_event(event);
+    }
     if reference.reports().reports() != dj.races.reports.as_slice()
         || reference.reports().occurrences() != dj.races.report_occurrences.as_slice()
     {
@@ -251,13 +199,13 @@ pub fn check_spec_with(spec: &FuzzSpec, fault: Fault) -> SpecVerdict {
         spec,
         AnalysisMode::demand_hitm(),
         DetectorKind::FastTrack,
-        &trace,
+        &bytes,
     );
     let eager = run(
         spec,
         AnalysisMode::demand_oracle_eager(),
         DetectorKind::FastTrack,
-        &trace,
+        &bytes,
     );
     let keys_demand = racy_keys(&demand.races.reports);
     let keys_eager = racy_keys(&eager.races.reports);
@@ -310,7 +258,7 @@ pub fn check_spec_with(spec: &FuzzSpec, fault: Fault) -> SpecVerdict {
     // happens-before relation is invariant under renaming.
     let threads = trace.thread_count() as u32;
     if threads > 1 {
-        let permuted = map_tids(&trace, |t| ThreadId((t.0 + 1) % threads));
+        let permuted = encode(&map_tids(&trace, |t| ThreadId((t.0 + 1) % threads)));
         let run_p = run(
             spec,
             AnalysisMode::Continuous,
@@ -329,7 +277,7 @@ pub fn check_spec_with(spec: &FuzzSpec, fault: Fault) -> SpecVerdict {
     // Metamorphic: translating every data address by a uniform delta must
     // shift the racy-variable set by exactly delta >> granularity.
     const DELTA: u64 = 0x4_0000;
-    let translated = map_data_addrs(&trace, DELTA);
+    let translated = encode(&map_data_addrs(&trace, DELTA));
     let run_t = run(
         spec,
         AnalysisMode::Continuous,
@@ -351,7 +299,7 @@ pub fn check_spec_with(spec: &FuzzSpec, fault: Fault) -> SpecVerdict {
 
     // Metamorphic: detector-invisible compute padding must leave the
     // report vector byte-identical.
-    let padded = pad_with_compute(&trace);
+    let padded = encode(&pad_with_compute(&trace));
     let run_c = run(
         spec,
         AnalysisMode::Continuous,
@@ -375,7 +323,7 @@ pub fn check_spec_with(spec: &FuzzSpec, fault: Fault) -> SpecVerdict {
     // accesses from the checked set), so the racy-variable set may only
     // shrink — never gain a key.
     if !relaxed_touched.is_empty() {
-        let upgraded = upgrade_relaxed(&trace);
+        let upgraded = encode(&upgrade_relaxed(&trace));
         let run_u = run(
             spec,
             AnalysisMode::Continuous,
@@ -442,12 +390,22 @@ fn upgrade_relaxed(trace: &Trace) -> Trace {
         .collect()
 }
 
-/// Replays `trace` under `mode` with `detector` on the spec's core count.
-fn run(spec: &FuzzSpec, mode: AnalysisMode, detector: DetectorKind, trace: &Trace) -> RunResult {
+/// `trace` in the DDRT format.
+fn encode(trace: &Trace) -> Vec<u8> {
+    let mut writer = TraceWriter::new(Vec::new()).expect("in-memory trace header");
+    for event in trace.events() {
+        writer.record_event(event);
+    }
+    writer.finish().expect("in-memory trace writes cannot fail")
+}
+
+/// Replays the DDRT trace `bytes` under `mode` with `detector` on the
+/// spec's core count.
+fn run(spec: &FuzzSpec, mode: AnalysisMode, detector: DetectorKind, bytes: &[u8]) -> RunResult {
     let mut cfg = SimConfig::new(spec.cores.max(1) as usize, mode);
     cfg.scheduler = SchedulerConfig::jittered(spec.seed);
     cfg.detector_kind = detector;
-    Simulation::new(cfg).run_trace(trace)
+    ddrace_harness::replay(bytes, cfg, 0).expect("a freshly encoded trace decodes")
 }
 
 /// Rewrites every thread id in `trace` through `f` — events, parents,

@@ -1,4 +1,4 @@
-//! The independent reference detector and the trace feeder.
+//! The independent reference detector.
 //!
 //! [`RefHb`] re-implements the Djit⁺ algorithm *from its specification* —
 //! full read/write vector clocks per shadow word over [`HbClocks`] — but
@@ -13,17 +13,14 @@
 //! catch (and shrink) real detector bugs by switching a deliberate one on
 //! and watching the differential oracle fail.
 //!
-//! [`feed_trace`] replays a recorded [`Trace`] into any [`RaceDetector`]
-//! exactly the way `ddrace-core`'s simulator dispatches events under
-//! continuous analysis: data reads/writes as `on_access`, every
-//! synchronizing op (atomics included) as `on_sync`, plus the thread and
-//! barrier lifecycle hooks.
+//! A recorded trace reaches it, like any detector, through
+//! [`RaceDetector::replay_event`].
 
 use ddrace_detector::{
     AccessReport, DetectorConfig, DetectorStats, Granularity, HbClocks, RaceAccess, RaceDetector,
     RaceKind, RaceReport, RaceReportSet, VectorClock,
 };
-use ddrace_program::{AccessKind, Addr, BarrierId, Op, ThreadId, Trace, TraceEvent};
+use ddrace_program::{AccessKind, Addr, BarrierId, Op, ThreadId};
 use std::collections::HashMap;
 
 /// A deliberately planted detector defect, for validating that the
@@ -234,52 +231,16 @@ impl RaceDetector for RefHb {
     }
 }
 
-/// Replays `trace` into `detector`, dispatching exactly like the
-/// simulator does under continuous analysis (see module docs). The
-/// production detectors and [`RefHb`] can therefore be compared on
-/// identical event streams without involving the simulator's cost or
-/// cache machinery.
-pub fn feed_trace(trace: &Trace, detector: &mut dyn RaceDetector) {
-    for event in trace.events() {
-        match event {
-            TraceEvent::ThreadStarted { tid, parent } => detector.on_thread_start(*tid, *parent),
-            TraceEvent::ThreadFinished { tid } => detector.on_thread_finish(*tid),
-            TraceEvent::BarrierReleased {
-                barrier,
-                participants,
-            } => detector.on_barrier_release(*barrier, participants),
-            TraceEvent::Op { tid, op } => match op {
-                Op::Read { addr } => {
-                    detector.on_access(*tid, *addr, AccessKind::Read);
-                }
-                Op::Write { addr } => {
-                    detector.on_access(*tid, *addr, AccessKind::Write);
-                }
-                Op::Compute { .. } => {}
-                // Relaxed atomics are *checked data accesses* — they carry
-                // no happens-before edge, so the simulator routes them
-                // through the data-access path, and so do we.
-                Op::RelaxedLoad { addr } => {
-                    detector.on_access(*tid, *addr, AccessKind::RelaxedLoad);
-                }
-                Op::RelaxedStore { addr } => {
-                    detector.on_access(*tid, *addr, AccessKind::RelaxedStore);
-                }
-                Op::RelaxedRmw { addr } => {
-                    detector.on_access(*tid, *addr, AccessKind::RelaxedRmw);
-                }
-                // Acq/rel atomics and every other synchronizing op reach
-                // the detector through on_sync only, as in the simulator.
-                sync => detector.on_sync(*tid, sync),
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddrace_program::{ProgramBuilder, SchedulerConfig};
+    use ddrace_program::{ProgramBuilder, SchedulerConfig, Trace};
+
+    fn feed(trace: &Trace, detector: &mut dyn RaceDetector) {
+        for event in trace.events() {
+            detector.replay_event(event);
+        }
+    }
 
     fn racy_trace(seed: u64) -> Trace {
         let mut b = ProgramBuilder::new();
@@ -307,8 +268,8 @@ mod tests {
         let trace = racy_trace(5);
         let mut reference = RefHb::new(DetectorConfig::default());
         let mut production = ddrace_detector::Djit::new(DetectorConfig::default());
-        feed_trace(&trace, &mut reference);
-        feed_trace(&trace, &mut production);
+        feed(&trace, &mut reference);
+        feed(&trace, &mut production);
         assert_eq!(
             reference.reports().reports(),
             production.reports().reports()
@@ -325,8 +286,8 @@ mod tests {
         let trace = racy_trace(5);
         let mut faulty = RefHb::with_fault(DetectorConfig::default(), Fault::DropWriteWrite);
         let mut production = ddrace_detector::Djit::new(DetectorConfig::default());
-        feed_trace(&trace, &mut faulty);
-        feed_trace(&trace, &mut production);
+        feed(&trace, &mut faulty);
+        feed(&trace, &mut production);
         assert_ne!(faulty.reports().reports(), production.reports().reports());
     }
 
@@ -335,8 +296,8 @@ mod tests {
         let trace = racy_trace(5);
         let mut faulty = RefHb::with_fault(DetectorConfig::default(), Fault::IgnoreUnlock);
         let mut production = ddrace_detector::Djit::new(DetectorConfig::default());
-        feed_trace(&trace, &mut faulty);
-        feed_trace(&trace, &mut production);
+        feed(&trace, &mut faulty);
+        feed(&trace, &mut production);
         // The lock-protected word (offset 8, shadow key 0x1000/8 + 1) must
         // now look racy to the faulty detector.
         assert!(faulty.reports().distinct() > production.reports().distinct());

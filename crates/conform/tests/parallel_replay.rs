@@ -7,15 +7,13 @@
 
 use ddrace_conform::generate;
 use ddrace_detector::{DetectorConfig, FastTrack, RaceDetector};
-use ddrace_native::{replay_events, ParallelReplayConfig, ParallelReplayDetector};
-use ddrace_program::{PickStrategy, SchedulerConfig, Trace};
+use ddrace_native::{ParallelReplayConfig, ParallelReplayDetector};
+use ddrace_program::{SchedulerConfig, Trace};
 use proptest::prelude::*;
 
 /// Serial-vs-parallel byte-identity on one trace at the given geometry.
 fn assert_parallel_matches_serial(trace: &Trace, shards: usize, workers: usize, label: &str) {
     let mut serial = FastTrack::new(DetectorConfig::default());
-    replay_events(&mut serial, trace.events());
-
     let mut parallel = ParallelReplayDetector::new(ParallelReplayConfig {
         detector: DetectorConfig::default(),
         shards,
@@ -23,7 +21,8 @@ fn assert_parallel_matches_serial(trace: &Trace, shards: usize, workers: usize, 
         chunk_accesses: 256,
     });
     for event in trace.events() {
-        parallel.push_event(event);
+        serial.replay_event(event);
+        parallel.replay_event(event);
     }
     let out = parallel.finish();
     assert_eq!(
@@ -47,12 +46,8 @@ fn assert_parallel_matches_serial(trace: &Trace, shards: usize, workers: usize, 
 fn archetype_traces_replay_identically_in_parallel() {
     use ddrace_workloads::{archetypes, Scale};
     for spec in archetypes::suite() {
-        let trace = Trace::record_with(
-            spec.program(Scale::TEST, 17),
-            SchedulerConfig::jittered(17),
-            PickStrategy::RunQueue,
-        )
-        .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+        let trace = Trace::record(spec.program(Scale::TEST, 17), SchedulerConfig::jittered(17))
+            .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
         for (shards, workers) in [(1, 1), (8, 4), (64, 8)] {
             assert_parallel_matches_serial(&trace, shards, workers, &spec.name);
         }
@@ -72,16 +67,10 @@ proptest! {
         chunk in prop_oneof![Just(32usize), Just(1 << 20)],
     ) {
         let spec = generate(spec_seed);
-        let trace = Trace::record_with(
-            spec.to_program(),
-            SchedulerConfig::jittered(spec.seed),
-            PickStrategy::RunQueue,
-        )
-        .expect("fuzz specs schedule to completion");
+        let trace = Trace::record(spec.to_program(), SchedulerConfig::jittered(spec.seed))
+            .expect("fuzz specs schedule to completion");
 
         let mut serial = FastTrack::new(DetectorConfig::default());
-        replay_events(&mut serial, trace.events());
-
         let mut parallel = ParallelReplayDetector::new(ParallelReplayConfig {
             detector: DetectorConfig::default(),
             shards,
@@ -89,7 +78,8 @@ proptest! {
             chunk_accesses: chunk,
         });
         for event in trace.events() {
-            parallel.push_event(event);
+            serial.replay_event(event);
+            parallel.replay_event(event);
         }
         let out = parallel.finish();
 

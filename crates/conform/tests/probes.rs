@@ -8,10 +8,10 @@
 //! `Program` is intentionally not `Clone`, so every use regenerates the
 //! probe set — [`conformance_probes`] is a pure constructor.
 
-use ddrace_conform::{feed_trace, RefHb};
+use ddrace_conform::RefHb;
 use ddrace_core::{AnalysisMode, DetectorKind, SimConfig, Simulation};
 use ddrace_detector::{racy_keys, DetectorConfig, Djit, FastTrack, RaceDetector};
-use ddrace_program::{PickStrategy, Program, SchedulerConfig, Trace};
+use ddrace_program::{Program, SchedulerConfig, Trace};
 use ddrace_workloads::racy::conformance_probes;
 
 fn run_mode(program: Program, seed: u64, mode: AnalysisMode) -> Vec<u64> {
@@ -42,18 +42,16 @@ fn probes_match_their_documented_verdicts() {
 fn probes_agree_across_detectors_and_reference() {
     for seed in [1, 7, 23] {
         for (name, program, _racy) in conformance_probes() {
-            let trace = Trace::record_with(
-                program,
-                SchedulerConfig::jittered(seed),
-                PickStrategy::RunQueue,
-            )
-            .unwrap_or_else(|e| panic!("probe {name} seed {seed}: {e}"));
+            let trace = Trace::record(program, SchedulerConfig::jittered(seed))
+                .unwrap_or_else(|e| panic!("probe {name} seed {seed}: {e}"));
             let mut ft = FastTrack::new(DetectorConfig::default());
             let mut dj = Djit::new(DetectorConfig::default());
             let mut reference = RefHb::new(DetectorConfig::default());
-            feed_trace(&trace, &mut ft);
-            feed_trace(&trace, &mut dj);
-            feed_trace(&trace, &mut reference);
+            for event in trace.events() {
+                ft.replay_event(event);
+                dj.replay_event(event);
+                reference.replay_event(event);
+            }
             assert_eq!(
                 racy_keys(ft.reports().reports()),
                 racy_keys(dj.reports().reports()),

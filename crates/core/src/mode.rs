@@ -143,8 +143,8 @@ pub struct SimConfig {
     pub cache: CacheConfig,
     /// Interleaving scheduler parameters.
     pub scheduler: SchedulerConfig,
-    /// Runnable-thread picker implementation. Digest-equivalent choices;
-    /// [`PickStrategy::LegacyScan`] is kept for equivalence testing.
+    /// Runnable-thread picker; [`PickStrategy`] has one variant. Kept
+    /// only for the end-to-end benchmark (`bench_e2e/`), which names it.
     pub pick_strategy: PickStrategy,
     /// Cycle cost model.
     pub cost: CostModel,

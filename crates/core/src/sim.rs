@@ -82,9 +82,7 @@ impl Simulation {
     pub fn run(&self, program: Program) -> Result<RunResult, ScheduleError> {
         let _span = ddrace_telemetry::span("sim.run");
         let mut state = SimState::new(&self.config);
-        let schedule = Scheduler::new(program, self.config.scheduler)
-            .with_pick_strategy(self.config.pick_strategy)
-            .run(&mut state)?;
+        let schedule = Scheduler::new(program, self.config.scheduler).run(&mut state)?;
         Ok(state.into_result(schedule, self.config.mode.label()))
     }
 
@@ -93,7 +91,7 @@ impl Simulation {
     /// record for each PMI the sharing indicator raises (demand modes).
     /// This is the simulator-side producer of the record/replay pipeline;
     /// the recorded trace replays to the identical racy-key set under
-    /// [`Simulation::run_trace_stream`].
+    /// `ddrace_harness::replay`.
     ///
     /// # Errors
     ///
@@ -106,37 +104,16 @@ impl Simulation {
         let _span = ddrace_telemetry::span("sim.run");
         let mut state = SimState::new(&self.config);
         state.sink = Some(sink);
-        let schedule = Scheduler::new(program, self.config.scheduler)
-            .with_pick_strategy(self.config.pick_strategy)
-            .run(&mut state)?;
+        let schedule = Scheduler::new(program, self.config.scheduler).run(&mut state)?;
         Ok(state.into_result(schedule, self.config.mode.label()))
-    }
-
-    /// Streams recorded events through the analysis pipeline without
-    /// materializing a full [`Trace`](ddrace_program::Trace) — the
-    /// consumer half of the record/replay pipeline, fed by
-    /// [`TraceReader`](ddrace_trace::TraceReader) decoding one frame at
-    /// a time. Emits the `ingest.events_replayed` telemetry counter.
-    ///
-    /// Scheduler-internal statistics that are not part of the event
-    /// stream (blocks, context switches, handoffs) are reported as zero.
-    pub fn run_trace_stream<I>(&self, events: I) -> RunResult
-    where
-        I: IntoIterator<Item = TraceEvent>,
-    {
-        let mut replay = self.trace_replay();
-        for event in events {
-            replay.push(&event);
-        }
-        replay.finish()
     }
 
     /// Starts a push-style trace replay: feed decoded events one at a
     /// time with [`TraceReplay::push`] and collect the [`RunResult`] with
-    /// [`TraceReplay::finish`]. This is [`Simulation::run_trace_stream`]
-    /// inverted for callers that *produce* events (the zero-allocation
-    /// streaming decoder hands out `&TraceEvent` from reused buffers)
-    /// rather than iterate over owned ones.
+    /// [`TraceReplay::finish`]. Events arrive by reference, so the
+    /// streaming decoder can hand them out of reused buffers. The one
+    /// caller is `ddrace_harness::replay`, the single entry point that
+    /// turns a DDRT trace into a [`RunResult`].
     pub fn trace_replay(&self) -> TraceReplay<'static> {
         TraceReplay::new(SimState::new(&self.config), self.config.mode.label())
     }
@@ -161,17 +138,6 @@ impl Simulation {
         let mut state = SimState::new(&self.config);
         state.detector = Some(Box::new(detector));
         TraceReplay::new(state, self.config.mode.label())
-    }
-
-    /// Analyzes a previously recorded [`Trace`](ddrace_program::Trace)
-    /// instead of scheduling a program — the record-once / analyze-many
-    /// workflow. The interleaving is the trace's, byte for byte, so the
-    /// same trace can be compared across any number of configurations.
-    ///
-    /// Scheduler-internal statistics that are not part of the event
-    /// stream (blocks, context switches, handoffs) are reported as zero.
-    pub fn run_trace(&self, trace: &ddrace_program::Trace) -> RunResult {
-        self.run_trace_stream(trace.events().iter().cloned())
     }
 }
 

@@ -2,7 +2,7 @@
 //! configuration and statistics.
 
 use crate::report::RaceReportSet;
-use ddrace_program::{AccessKind, Addr, BarrierId, Op, ThreadId};
+use ddrace_program::{AccessKind, Addr, BarrierId, Op, ThreadId, TraceEvent};
 
 /// Shadow-memory granularity: the unit at which accesses are checked.
 ///
@@ -131,6 +131,41 @@ pub trait RaceDetector {
 
     /// A short name for tables ("fasttrack", "djit", "lockset").
     fn name(&self) -> &'static str;
+
+    /// Feeds one recorded event to the detector under continuous
+    /// analysis: the one place that maps the event stream onto the hooks
+    /// above. Plain and relaxed accesses are checked accesses (relaxed
+    /// atomics carry no happens-before edge); every other op, acq/rel
+    /// atomics included, goes to [`RaceDetector::on_sync`], which ignores
+    /// `Compute`.
+    fn replay_event(&mut self, event: &TraceEvent) {
+        match event {
+            TraceEvent::ThreadStarted { tid, parent } => self.on_thread_start(*tid, *parent),
+            TraceEvent::ThreadFinished { tid } => self.on_thread_finish(*tid),
+            TraceEvent::BarrierReleased {
+                barrier,
+                participants,
+            } => self.on_barrier_release(*barrier, participants),
+            TraceEvent::Op { tid, op } => match *op {
+                Op::Read { addr } => {
+                    self.on_access(*tid, addr, AccessKind::Read);
+                }
+                Op::Write { addr } => {
+                    self.on_access(*tid, addr, AccessKind::Write);
+                }
+                Op::RelaxedLoad { addr } => {
+                    self.on_access(*tid, addr, AccessKind::RelaxedLoad);
+                }
+                Op::RelaxedStore { addr } => {
+                    self.on_access(*tid, addr, AccessKind::RelaxedStore);
+                }
+                Op::RelaxedRmw { addr } => {
+                    self.on_access(*tid, addr, AccessKind::RelaxedRmw);
+                }
+                _ => self.on_sync(*tid, op),
+            },
+        }
+    }
 }
 
 /// Forwarding impl so a caller can lend a detector to a pipeline (e.g. a
@@ -194,6 +229,115 @@ mod tests {
         let c = DetectorConfig::default();
         assert_eq!(c.granularity, Granularity::Word);
         assert!(c.max_reports > 0);
+    }
+
+    /// Logs the hook each replayed op reaches — `Some(kind)` for
+    /// `on_access`, `None` for `on_sync` — and forwards it to FastTrack.
+    struct Probe(crate::FastTrack, Vec<Option<AccessKind>>);
+
+    impl RaceDetector for Probe {
+        fn on_thread_start(&mut self, tid: ThreadId, parent: Option<ThreadId>) {
+            self.0.on_thread_start(tid, parent);
+        }
+        fn on_thread_finish(&mut self, tid: ThreadId) {
+            self.0.on_thread_finish(tid);
+        }
+        fn on_sync(&mut self, tid: ThreadId, op: &Op) {
+            self.1.push(None);
+            self.0.on_sync(tid, op);
+        }
+        fn on_barrier_release(&mut self, barrier: BarrierId, participants: &[ThreadId]) {
+            self.0.on_barrier_release(barrier, participants);
+        }
+        fn on_access(&mut self, tid: ThreadId, addr: Addr, kind: AccessKind) -> AccessReport {
+            self.1.push(Some(kind));
+            self.0.on_access(tid, addr, kind)
+        }
+        fn reports(&self) -> &RaceReportSet {
+            self.0.reports()
+        }
+        fn stats(&self) -> DetectorStats {
+            self.0.stats()
+        }
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+    }
+
+    #[test]
+    fn replay_event_routes_every_op() {
+        use ddrace_program::{CondId, LockId, SemId};
+        // Per op: the hook it must reach, and how many sync ops FastTrack
+        // counts for it. Exhaustive, so a new `Op` variant must be added.
+        let expected = |op: &Op| match op {
+            Op::Read { .. } => (Some(AccessKind::Read), 0),
+            Op::Write { .. } => (Some(AccessKind::Write), 0),
+            Op::RelaxedLoad { .. } => (Some(AccessKind::RelaxedLoad), 0),
+            Op::RelaxedStore { .. } => (Some(AccessKind::RelaxedStore), 0),
+            Op::RelaxedRmw { .. } => (Some(AccessKind::RelaxedRmw), 0),
+            Op::AtomicRmw { .. }
+            | Op::AtomicLoad { .. }
+            | Op::AtomicStore { .. }
+            | Op::Lock { .. }
+            | Op::Unlock { .. }
+            | Op::Barrier { .. }
+            | Op::Fork { .. }
+            | Op::Join { .. }
+            | Op::Post { .. }
+            | Op::WaitSem { .. }
+            | Op::CondWait { .. }
+            | Op::CondWake { .. }
+            | Op::NotifyOne { .. }
+            | Op::NotifyAll { .. } => (None, 1),
+            // Reaches `on_sync`, which ignores it.
+            Op::Compute { .. } => (None, 0),
+        };
+        let (addr, barrier, child) = (Addr(0x40), BarrierId::new(0), ThreadId::new(1));
+        let (lock, cond, sem) = (LockId::new(0), CondId::new(0), SemId::new(0));
+        let ops = [
+            Op::Read { addr },
+            Op::Write { addr },
+            Op::AtomicRmw { addr },
+            Op::AtomicLoad { addr },
+            Op::AtomicStore { addr },
+            Op::RelaxedLoad { addr },
+            Op::RelaxedStore { addr },
+            Op::RelaxedRmw { addr },
+            Op::Lock { lock },
+            Op::Unlock { lock },
+            Op::Barrier {
+                barrier,
+                participants: 2,
+            },
+            Op::Fork { child },
+            Op::Join { child },
+            Op::Post { sem },
+            Op::WaitSem { sem },
+            Op::CondWait { cond, lock },
+            Op::CondWake { cond, lock },
+            Op::NotifyOne { cond },
+            Op::NotifyAll { cond },
+            Op::Compute { cycles: 5 },
+        ];
+        let kinds: std::collections::HashSet<_> = ops.iter().map(Op::kind_name).collect();
+        assert_eq!(kinds.len(), ops.len(), "one sample per Op variant");
+
+        let mut probe = Probe(crate::FastTrack::new(DetectorConfig::default()), Vec::new());
+        for (tid, parent) in [(ThreadId::MAIN, None), (child, Some(ThreadId::MAIN))] {
+            probe.replay_event(&TraceEvent::ThreadStarted { tid, parent });
+        }
+        for op in ops {
+            let before = probe.stats();
+            probe.1.clear();
+            let tid = ThreadId::MAIN;
+            probe.replay_event(&TraceEvent::Op { tid, op });
+            let after = probe.stats();
+            let (hook, synced) = expected(&op);
+            assert_eq!(probe.1, [hook], "{op:?}");
+            let checked = after.accesses_checked - before.accesses_checked;
+            assert_eq!(checked, u64::from(hook.is_some()), "{op:?}");
+            assert_eq!(after.sync_ops - before.sync_ops, synced, "{op:?}");
+        }
     }
 }
 

@@ -2,11 +2,10 @@
 //! a declarative set of jobs built from sweep axes.
 
 use crate::variant::JobVariant;
-use ddrace_core::{AnalysisMode, DetectorKind, RaceSummary, RunResult, SimConfig, Simulation};
-use ddrace_native::{ParallelReplayConfig, ParallelReplayDetector};
+use ddrace_core::{AnalysisMode, DetectorKind, RunResult, SimConfig, Simulation};
 use ddrace_pmu::IndicatorMode;
 use ddrace_program::{PickStrategy, SchedulerConfig};
-use ddrace_trace::{decode_events_into, decode_events_into_parallel, TraceError, TraceReader};
+use ddrace_trace::{TraceError, TraceReader};
 use ddrace_workloads::{Scale, WorkloadSpec};
 use std::fs::File;
 use std::io::BufReader;
@@ -95,9 +94,9 @@ pub struct Job {
     /// The variant-axis point this job belongs to; carries the cache and
     /// demand-knob overrides and names the job in labels and events.
     pub variant: JobVariant,
-    /// Runnable-thread picker. Not part of the job fingerprint: both
-    /// strategies produce digest-identical results (pinned by the
-    /// schedule-equivalence suite), so it cannot affect the outcome.
+    /// Runnable-thread picker; [`PickStrategy`] has one variant, so it is
+    /// not part of the job fingerprint. Kept only for the end-to-end
+    /// benchmark (`bench_e2e/`), which builds `Job` literals.
     pub pick_strategy: PickStrategy,
     /// Wall-clock budget; `None` means unlimited.
     pub timeout: Option<Duration>,
@@ -106,9 +105,8 @@ pub struct Job {
     /// synthetic [`WorkloadSpec::trace_stub`] occupying the slot).
     pub trace: Option<TraceSource>,
     /// Worker threads for parallel trace replay; `0` (the default) replays
-    /// serially. Only trace jobs under continuous analysis with the
-    /// FastTrack detector take the parallel path — everything else falls
-    /// back to serial. Deliberately **not** part of the resume
+    /// serially (see [`replay`](crate::replay) for which jobs take the
+    /// parallel path). Deliberately **not** part of the resume
     /// fingerprint: parallel replay is pinned byte-identical to serial by
     /// the equivalence suites, so the worker count cannot change a
     /// result.
@@ -174,11 +172,21 @@ impl Job {
     }
 
     /// Runs the simulation synchronously on the calling thread. Trace
-    /// jobs replay their recorded stream through the detector; all other
-    /// jobs generate and simulate their workload.
+    /// jobs stream their recorded trace through [`replay`](crate::replay),
+    /// with decode errors prefixed by the trace path; all other jobs
+    /// generate and simulate their workload.
     pub fn run(&self) -> Result<RunResult, String> {
         if let Some(source) = &self.trace {
-            return self.replay(source);
+            let _span = ddrace_telemetry::span("job.replay");
+            let at = |e: TraceError| format!("trace {}: {e}", source.path.display());
+            let file = File::open(&source.path).map_err(|e| {
+                at(TraceError::Io {
+                    offset: 0,
+                    source: e,
+                })
+            })?;
+            return crate::replay(BufReader::new(file), self.sim_config(), self.replay_workers)
+                .map_err(at);
         }
         let program = {
             let _span = ddrace_telemetry::span("job.generate");
@@ -188,78 +196,6 @@ impl Job {
         Simulation::new(self.sim_config())
             .run(program)
             .map_err(|e| format!("schedule error: {e}"))
-    }
-
-    /// Streams a recorded trace through this job's detector configuration
-    /// without materializing the event list — peak memory is one frame of
-    /// the trace codec, regardless of trace length. Decode errors surface
-    /// with the trace path prepended; the detector's verdict up to the
-    /// failure point is discarded.
-    ///
-    /// With `replay_workers > 0` (continuous mode, FastTrack detector)
-    /// detection fans out across a worker pool while the simulation
-    /// itself — cache hierarchy, cost model, schedule accounting — runs
-    /// unchanged on this thread; the merged detector outcome is spliced
-    /// into the result afterwards, byte-identical to the serial path.
-    fn replay(&self, source: &TraceSource) -> Result<RunResult, String> {
-        let _span = ddrace_telemetry::span("job.replay");
-        let at = |e: &TraceError| format!("trace {}: {e}", source.path.display());
-        let file = File::open(&source.path).map_err(|e| {
-            at(&TraceError::Io {
-                offset: 0,
-                source: e,
-            })
-        })?;
-        let input = BufReader::new(file);
-        let cfg = self.sim_config();
-        let parallel = self.replay_workers > 0
-            && matches!(cfg.mode, AnalysisMode::Continuous)
-            && self.detector_kind == DetectorKind::FastTrack;
-        if !parallel {
-            let sim = Simulation::new(cfg);
-            let mut replay = sim.trace_replay();
-            decode_events_into(input, |event| replay.push(event)).map_err(|e| at(&e))?;
-            return Ok(replay.finish());
-        }
-        // Wall-clock decode timing is nondeterministic, so it only enters
-        // the (byte-reproducible) aggregate when explicitly requested.
-        let timing = std::env::var("DDRACE_INGEST_TIMING").as_deref() == Ok("1");
-        let started = timing.then(std::time::Instant::now);
-        let mut detector = ParallelReplayDetector::new(ParallelReplayConfig {
-            detector: cfg.detector,
-            workers: self.replay_workers,
-            ..ParallelReplayConfig::default()
-        });
-        let sim = Simulation::new(cfg);
-        let mut replay = sim.trace_replay_with_detector(&mut detector);
-        // Frame-parallel decode: per-thread stream payloads decode on
-        // their own pool while this thread walks the merge order, so the
-        // serial stage of ingest shrinks to delivery + enqueue. Event
-        // order (and thus every downstream byte) is unchanged.
-        decode_events_into_parallel(input, self.replay_workers.min(8), |event| {
-            replay.push(event)
-        })
-        .map_err(|e| at(&e))?;
-        let mut result = replay.finish();
-        let outcome = detector.finish();
-        // `finish` emitted zeros for `detector.*` (the in-run detector is
-        // a stub); add the real counters so campaign totals match serial.
-        outcome.stats.emit_telemetry();
-        ddrace_telemetry::counter("ingest.batches", outcome.batches);
-        ddrace_telemetry::counter("ingest.replay_workers", self.replay_workers as u64);
-        if let Some(started) = started {
-            ddrace_telemetry::counter("ingest.decode_ns", started.elapsed().as_nanos() as u64);
-        }
-        let set = &outcome.reports;
-        result.races = RaceSummary {
-            distinct: set.distinct(),
-            distinct_addresses: set.distinct_addresses(),
-            occurrences: set.total_occurrences(),
-            reports: set.reports().to_vec(),
-            report_occurrences: set.occurrences().to_vec(),
-        };
-        result.detector = Some(outcome.stats);
-        Ok(result)
     }
 }
 
@@ -296,7 +232,6 @@ impl Campaign {
             cores: 8,
             quantum: 32,
             detector_kind: DetectorKind::default(),
-            pick_strategy: PickStrategy::default(),
             timeout: None,
             replay_workers: 0,
         }
@@ -325,7 +260,6 @@ pub struct CampaignBuilder {
     cores: usize,
     quantum: u32,
     detector_kind: DetectorKind,
-    pick_strategy: PickStrategy,
     timeout: Option<Duration>,
     replay_workers: usize,
 }
@@ -392,12 +326,6 @@ impl CampaignBuilder {
         self
     }
 
-    /// Sets the scheduler's runnable-thread picker for every job.
-    pub fn pick_strategy(mut self, strategy: PickStrategy) -> Self {
-        self.pick_strategy = strategy;
-        self
-    }
-
     /// Sets a per-job wall-clock timeout.
     pub fn timeout(mut self, timeout: Duration) -> Self {
         self.timeout = Some(timeout);
@@ -449,7 +377,7 @@ impl CampaignBuilder {
                             quantum: patch.quantum.unwrap_or(self.quantum),
                             detector_kind: patch.detector_kind.unwrap_or(self.detector_kind),
                             variant: variant.clone(),
-                            pick_strategy: self.pick_strategy,
+                            pick_strategy: PickStrategy::default(),
                             timeout: self.timeout,
                             trace: trace.clone(),
                             replay_workers: self.replay_workers,

@@ -16,6 +16,9 @@
 //!   detector, demand-mode knobs) for the paper's sensitivity sweeps (A3
 //!   cache ladder, A5 SMT core packing). Variants flow into labels,
 //!   events, fingerprints, and the aggregate.
+//! - [`replay`] — the single entry point from a DDRT trace to a
+//!   [`RunResult`], serial or with parallel detection; trace-corpus jobs,
+//!   `ddrace analyze` and the conformance oracles all go through it.
 //! - [`run_campaign`] — drains the jobs through a worker pool. Results are
 //!   keyed by job id, so the aggregate is **byte-identical no matter how
 //!   many workers ran it** — the property the determinism test pins down.
@@ -61,6 +64,7 @@
 mod events;
 mod executor;
 mod job;
+mod replay;
 mod report;
 mod resume;
 mod variant;
@@ -69,6 +73,7 @@ pub use ddrace_telemetry as telemetry;
 pub use events::EventSink;
 pub use executor::{run_raw, run_raw_prefilled, CancelToken, FailReason, JobRecord, RawJob};
 pub use job::{Campaign, CampaignBuilder, Job, TraceSource};
+pub use replay::replay;
 pub use report::{AxisStat, CampaignReport, SeedFold, SuiteRow};
 pub use resume::{
     campaign_fingerprint, fingerprint_hex, fingerprint_of_jobs, fnv1a, job_fingerprint,

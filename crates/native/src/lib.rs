@@ -85,7 +85,7 @@ pub use parallel::{
 };
 pub use sampler::{PmuToggle, ToggleConfig, ToggleStats};
 
-use ddrace_detector::{DetectorConfig, DetectorStats, RaceDetector, RaceReport, RaceReportSet};
+use ddrace_detector::{DetectorConfig, DetectorStats, RaceReport, RaceReportSet};
 use ddrace_program::{AccessKind, Addr, CondId, LockId, Op, ThreadId, TraceEvent};
 use ddrace_trace::TraceWriter;
 use std::io::{self, Write};
@@ -519,47 +519,6 @@ impl Monitor {
     }
 }
 
-/// Replays recorded events into a detector with the same semantics the
-/// live [`Monitor`] hooks use: reads/writes are data accesses, atomics
-/// and lock operations are synchronization, joins carry the finish edge.
-/// Offline re-detection from a monitor-recorded trace goes through here.
-pub fn replay_events<'a, D, I>(detector: &mut D, events: I)
-where
-    D: RaceDetector + ?Sized,
-    I: IntoIterator<Item = &'a TraceEvent>,
-{
-    for event in events {
-        match event {
-            TraceEvent::ThreadStarted { tid, parent } => detector.on_thread_start(*tid, *parent),
-            TraceEvent::ThreadFinished { tid } => detector.on_thread_finish(*tid),
-            TraceEvent::BarrierReleased {
-                barrier,
-                participants,
-            } => detector.on_barrier_release(*barrier, participants),
-            TraceEvent::Op { tid, op } => match op {
-                Op::Read { addr } => {
-                    detector.on_access(*tid, *addr, AccessKind::Read);
-                }
-                Op::Write { addr } => {
-                    detector.on_access(*tid, *addr, AccessKind::Write);
-                }
-                // Relaxed atomics carry no ordering: checked accesses,
-                // not synchronization — mirroring the live hooks.
-                Op::RelaxedLoad { addr } => {
-                    detector.on_access(*tid, *addr, AccessKind::RelaxedLoad);
-                }
-                Op::RelaxedStore { addr } => {
-                    detector.on_access(*tid, *addr, AccessKind::RelaxedStore);
-                }
-                Op::RelaxedRmw { addr } => {
-                    detector.on_access(*tid, *addr, AccessKind::RelaxedRmw);
-                }
-                _ => detector.on_sync(*tid, op),
-            },
-        }
-    }
-}
-
 /// The monitor-visible address of a value: its real memory address. Stable
 /// for the value's lifetime, which is all a race check needs.
 pub fn addr_of<T>(value: &T) -> Addr {
@@ -569,7 +528,7 @@ pub fn addr_of<T>(value: &T) -> Addr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddrace_detector::FastTrack;
+    use ddrace_detector::{FastTrack, RaceDetector};
     use std::sync::{Arc as StdArc, Mutex};
 
     #[test]
@@ -861,7 +820,9 @@ mod tests {
         // Offline re-detection from the recorded trace.
         let events = decode(&sink);
         let mut offline = FastTrack::new(DetectorConfig::default());
-        replay_events(&mut offline, &events);
+        for event in &events {
+            offline.replay_event(event);
+        }
         let offline_keys = ddrace_detector::racy_keys(offline.reports().reports());
         assert_eq!(offline_keys, live_keys);
     }

@@ -202,39 +202,10 @@ impl ParallelReplayDetector {
         }
     }
 
-    /// Replays one recorded event, mapped exactly as the serial oracle
-    /// [`crate::replay_events`] maps it — the entry point for callers
-    /// that hold a decoded event stream rather than drive the
-    /// [`RaceDetector`] hooks themselves.
+    /// [`RaceDetector::replay_event`] under an inherent name. Kept only
+    /// for the end-to-end benchmark (`bench_e2e/`), which names it.
     pub fn push_event(&mut self, event: &TraceEvent) {
-        match event {
-            TraceEvent::ThreadStarted { tid, parent } => self.on_thread_start(*tid, *parent),
-            TraceEvent::ThreadFinished { tid } => self.on_thread_finish(*tid),
-            TraceEvent::BarrierReleased {
-                barrier,
-                participants,
-            } => self.on_barrier_release(*barrier, participants),
-            TraceEvent::Op { tid, op } => match op {
-                Op::Read { addr } => {
-                    self.on_access(*tid, *addr, AccessKind::Read);
-                }
-                Op::Write { addr } => {
-                    self.on_access(*tid, *addr, AccessKind::Write);
-                }
-                // Relaxed atomics replay as checked accesses, exactly as
-                // the serial oracle maps them.
-                Op::RelaxedLoad { addr } => {
-                    self.on_access(*tid, *addr, AccessKind::RelaxedLoad);
-                }
-                Op::RelaxedStore { addr } => {
-                    self.on_access(*tid, *addr, AccessKind::RelaxedStore);
-                }
-                Op::RelaxedRmw { addr } => {
-                    self.on_access(*tid, *addr, AccessKind::RelaxedRmw);
-                }
-                other => self.on_sync(*tid, other),
-            },
-        }
+        self.replay_event(event);
     }
 
     /// Flushes the final partial chunk, joins the workers, and merges
@@ -438,7 +409,6 @@ fn run_worker(engine: &Engine, rx: &Receiver<Chunk>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay_events;
     use ddrace_detector::FastTrack;
     use ddrace_program::{LockId, ProgramBuilder, SchedulerConfig, Trace};
 
@@ -501,7 +471,7 @@ mod tests {
             chunk_accesses,
         });
         for event in trace.events() {
-            par.push_event(event);
+            par.replay_event(event);
         }
         par.finish()
     }
@@ -513,7 +483,9 @@ mod tests {
         workers: usize,
     ) {
         let mut serial = FastTrack::new(detector);
-        replay_events(&mut serial, trace.events());
+        for event in trace.events() {
+            serial.replay_event(event);
+        }
         // A tiny chunk forces many flushes, so inter-chunk ordering is
         // actually exercised.
         let out = parallel_outcome(trace, detector, shards, workers, 64);
@@ -554,7 +526,9 @@ mod tests {
             ..DetectorConfig::default()
         };
         let mut serial = FastTrack::new(capped);
-        replay_events(&mut serial, trace.events());
+        for event in trace.events() {
+            serial.replay_event(event);
+        }
         assert_eq!(serial.reports().distinct(), 2, "workload must hit the cap");
         let out = parallel_outcome(&trace, capped, 64, 4, 64);
         assert_eq!(out.reports.reports(), serial.reports().reports());

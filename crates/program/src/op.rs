@@ -723,25 +723,3 @@ ddrace_json::json_unit_enum!(AccessKind {
     RelaxedStore,
     RelaxedRmw
 });
-ddrace_json::json_enum!(Op {
-    Read { addr },
-    Write { addr },
-    AtomicRmw { addr },
-    AtomicLoad { addr },
-    AtomicStore { addr },
-    RelaxedLoad { addr },
-    RelaxedStore { addr },
-    RelaxedRmw { addr },
-    Lock { lock },
-    Unlock { lock },
-    Barrier { barrier, participants },
-    Fork { child },
-    Join { child },
-    Post { sem },
-    WaitSem { sem },
-    CondWait { cond, lock },
-    CondWake { cond, lock },
-    NotifyOne { cond },
-    NotifyAll { cond },
-    Compute { cycles },
-});

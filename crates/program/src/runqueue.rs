@@ -12,11 +12,11 @@
 //! Layout: bit `i` of `words[i / 64]` is set iff index `i` is queued, and
 //! bit `w` of `summary[w / 64]` is set iff `words[w] != 0`. A cyclic
 //! search masks off the bits below the cursor in its starting word, then
-//! walks the summary to jump directly to the next non-empty word. Because
-//! the search order is index order relative to the cursor — exactly the
-//! order the legacy scan probed statuses in — the queue-based picker
-//! reproduces the legacy schedule bit for bit (pinned by the
-//! digest-equivalence suite in `ddrace-bench`).
+//! walks the summary to jump directly to the next non-empty word. The
+//! search order is index order relative to the cursor — exactly the order
+//! the old scan probed statuses in, so the queue reproduces its schedule
+//! bit for bit (`agrees_with_naive_scan_under_churn` holds it to that
+//! scan; the harness goldens pin whole schedules).
 
 /// A fixed-capacity set of `usize` indices supporting O(1) insert/remove
 /// and cyclic first-set queries. See the module docs for the layout.

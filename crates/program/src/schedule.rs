@@ -65,20 +65,14 @@ impl SchedulerConfig {
     }
 }
 
-/// How [`Scheduler`] finds the next runnable thread.
-///
-/// Both strategies produce **bit-identical schedules** — the run-queue is
-/// a faster index structure over the same round-robin order, not a policy
-/// change — so this knob only trades picker cost. The legacy scan is kept
-/// for the digest-equivalence suite and for measuring the run-queue's
-/// speedup against a live baseline.
+/// How [`Scheduler`] finds the next runnable thread: always the
+/// two-level bitmap run-queue. Kept only for the end-to-end benchmark
+/// (`bench_e2e/`), which names `PickStrategy::default()`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PickStrategy {
-    /// Two-level bitmap run-queue: O(1) pick/block/unblock (the default).
+    /// Two-level bitmap run-queue: O(1) pick/block/unblock.
     #[default]
     RunQueue,
-    /// The original O(threads) status scan from the cursor.
-    LegacyScan,
 }
 
 /// An observation delivered to an [`ExecutionListener`].
@@ -316,9 +310,8 @@ pub struct Scheduler {
     stats: RunStats,
     cursor: usize,
     /// Mirror of the `Runnable` statuses; kept in sync by the status
-    /// helpers regardless of strategy so the picker can trust it.
+    /// helpers so the picker can trust it.
     runnable: RunQueue,
-    pick_strategy: PickStrategy,
 }
 
 impl Scheduler {
@@ -357,15 +350,12 @@ impl Scheduler {
             },
             cursor: 0,
             runnable: RunQueue::new(n),
-            pick_strategy: PickStrategy::default(),
         }
     }
 
-    /// Selects how the next runnable thread is found. Both strategies
-    /// yield the same schedule (see [`PickStrategy`]); the default is the
-    /// O(1) run-queue.
-    pub fn with_pick_strategy(mut self, strategy: PickStrategy) -> Self {
-        self.pick_strategy = strategy;
+    /// A no-op: [`PickStrategy`] has one variant. Kept only for the
+    /// end-to-end benchmark (`bench_e2e/`), which calls it.
+    pub fn with_pick_strategy(self, _strategy: PickStrategy) -> Self {
         self
     }
 
@@ -454,25 +444,13 @@ impl Scheduler {
         if n == 0 {
             return None;
         }
-        let picked = match self.pick_strategy {
-            PickStrategy::RunQueue => {
-                let picked = self.runnable.next_cyclic(self.cursor);
-                debug_assert_eq!(picked, self.scan_pick(), "run-queue diverged from scan");
-                picked
-            }
-            PickStrategy::LegacyScan => self.scan_pick(),
-        };
-        let i = picked?;
+        let i = self.runnable.next_cyclic(self.cursor)?;
+        debug_assert!(
+            self.threads[i].status == Status::Runnable,
+            "run-queue picked non-runnable thread {i}"
+        );
         self.cursor = (i + 1) % n;
         Some(ThreadId::new(i as u32))
-    }
-
-    /// The original picker: probe statuses in index order from the cursor.
-    fn scan_pick(&self) -> Option<usize> {
-        let n = self.threads.len();
-        (0..n)
-            .map(|off| (self.cursor + off) % n)
-            .find(|&i| self.threads[i].status == Status::Runnable)
     }
 
     fn all_started_finished(&self) -> bool {
@@ -1310,58 +1288,6 @@ mod tests {
         assert!(stats.context_switches >= 2);
         assert_eq!(stats.per_thread_ops.len(), 2);
         assert_eq!(stats.per_thread_ops.iter().sum::<u64>(), stats.ops_executed);
-    }
-
-    #[test]
-    fn pick_strategies_produce_identical_traces() {
-        // A lock-contended, barrier-synced, jittered program: every status
-        // transition kind exercised, then both pickers must agree event
-        // for event (the debug build additionally cross-checks every pick
-        // inside pick_next_runnable).
-        let build = || {
-            let mut b = ProgramBuilder::new();
-            b.all_start();
-            let l = b.new_lock();
-            let bar = b.new_barrier();
-            let s = b.new_sem();
-            let x = b.alloc_shared(512);
-            let ts: Vec<ThreadId> = (0..5).map(|_| b.add_thread()).collect();
-            b.on(ThreadId::MAIN).post(s).barrier(bar, 6).compute(3);
-            for (k, &t) in ts.iter().enumerate() {
-                let k = k as u64;
-                let mut c = b.on(t);
-                for i in 0..20u64 {
-                    c = c.read(x.index((k * 20 + i) * 4)).compute(1);
-                    if i % 5 == 0 {
-                        c = c.lock(l).write(x.index(k * 8)).unlock(l);
-                    }
-                }
-                c = c.barrier(bar, 6);
-                if k == 0 {
-                    c.wait_sem(s);
-                }
-            }
-            b.build()
-        };
-        let trace_with = |strategy: PickStrategy| {
-            let mut trace = Vec::new();
-            let cfg = SchedulerConfig {
-                quantum: 3,
-                seed: 99,
-                jitter: true,
-            };
-            let stats = Scheduler::new(build(), cfg)
-                .with_pick_strategy(strategy)
-                .run(&mut |e: Event<'_>| {
-                    trace.push(format!("{e:?}"));
-                })
-                .unwrap();
-            (trace, stats)
-        };
-        assert_eq!(
-            trace_with(PickStrategy::RunQueue),
-            trace_with(PickStrategy::LegacyScan)
-        );
     }
 
     #[test]

@@ -1,15 +1,14 @@
-//! Execution-trace capture and replay.
+//! In-memory execution traces.
 //!
 //! A [`Trace`] is the schedule-resolved event stream of one execution:
 //! what the scheduler emitted, in order, with every blocking decision
-//! already made. Traces enable the record-once / analyze-many workflow
-//! real dynamic-analysis tools use — capture a (cheap) run, then replay
-//! it through as many detector configurations as you like with the exact
-//! same interleaving.
+//! already made. It is an editable event list — the conformance fuzzer's
+//! metamorphic oracles rewrite events in place. The serialized form of a
+//! trace is the `ddrace-trace` DDRT format, and a trace reaches the
+//! simulator only through `ddrace_harness::replay` over DDRT bytes.
 //!
 //! [`TraceRecorder`] is an [`ExecutionListener`] that captures while
-//! optionally forwarding to an inner listener; [`Trace::replay`] feeds
-//! any listener the recorded stream.
+//! optionally forwarding to an inner listener.
 
 use crate::op::{BarrierId, Op, ThreadId};
 use crate::schedule::{Event, ExecutionListener};
@@ -67,7 +66,7 @@ impl TraceEvent {
 /// # Examples
 ///
 /// ```
-/// use ddrace_program::{ProgramBuilder, SchedulerConfig, ThreadId, Trace, run_program};
+/// use ddrace_program::{ProgramBuilder, SchedulerConfig, ThreadId, Trace};
 ///
 /// let mut b = ProgramBuilder::new();
 /// let x = b.alloc_shared(8).base();
@@ -75,13 +74,7 @@ impl TraceEvent {
 ///
 /// let trace = Trace::record(b.build(), SchedulerConfig::default())?;
 /// assert_eq!(trace.op_count(), 2);
-///
-/// // Replay into any listener: same events, same order.
-/// let mut n = 0;
-/// trace.replay(&mut |e: ddrace_program::Event<'_>| {
-///     if matches!(e, ddrace_program::Event::Op { .. }) { n += 1; }
-/// });
-/// assert_eq!(n, 2);
+/// assert_eq!(trace.thread_count(), 1);
 /// # Ok::<(), ddrace_program::ScheduleError>(())
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -99,25 +92,8 @@ impl Trace {
         program: crate::program::Program,
         config: crate::schedule::SchedulerConfig,
     ) -> Result<Trace, crate::error::ScheduleError> {
-        Trace::record_with(program, config, crate::schedule::PickStrategy::default())
-    }
-
-    /// [`Trace::record`] with an explicit runnable-thread picker — the
-    /// hook differential testing needs to check that both pickers
-    /// resolve a program to the same event stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheduler errors from the run.
-    pub fn record_with(
-        program: crate::program::Program,
-        config: crate::schedule::SchedulerConfig,
-        strategy: crate::schedule::PickStrategy,
-    ) -> Result<Trace, crate::error::ScheduleError> {
         let mut recorder = TraceRecorder::new(crate::schedule::NullListener);
-        crate::schedule::Scheduler::new(program, config)
-            .with_pick_strategy(strategy)
-            .run(&mut recorder)?;
+        crate::schedule::Scheduler::new(program, config).run(&mut recorder)?;
         Ok(recorder.into_trace().0)
     }
 
@@ -140,36 +116,6 @@ impl Trace {
             .iter()
             .filter(|e| matches!(e, TraceEvent::ThreadStarted { .. }))
             .count()
-    }
-
-    /// Feeds the recorded stream to `listener`, exactly as the original
-    /// scheduler did.
-    pub fn replay<L: ExecutionListener + ?Sized>(&self, listener: &mut L) {
-        for event in &self.events {
-            match event {
-                TraceEvent::ThreadStarted { tid, parent } => {
-                    listener.on_event(Event::ThreadStarted {
-                        tid: *tid,
-                        parent: *parent,
-                    });
-                }
-                TraceEvent::Op { tid, op } => {
-                    listener.on_event(Event::Op { tid: *tid, op: *op });
-                }
-                TraceEvent::BarrierReleased {
-                    barrier,
-                    participants,
-                } => {
-                    listener.on_event(Event::BarrierReleased {
-                        barrier: *barrier,
-                        participants,
-                    });
-                }
-                TraceEvent::ThreadFinished { tid } => {
-                    listener.on_event(Event::ThreadFinished { tid: *tid });
-                }
-            }
-        }
     }
 }
 
@@ -260,16 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_reproduces_the_stream() {
-        let trace = sample_trace(7);
-        let mut replayed = Vec::new();
-        trace.replay(&mut |e: Event<'_>| {
-            replayed.push(TraceEvent::from_event(&e));
-        });
-        assert_eq!(replayed, trace.events());
-    }
-
-    #[test]
     fn recorder_forwards_to_inner() {
         let mut b = ProgramBuilder::new();
         b.on(ThreadId::MAIN).compute(1).compute(2);
@@ -284,14 +220,6 @@ mod tests {
         assert_eq!(trace.op_count(), 2);
         drop(trace);
         assert_eq!(seen, 2);
-    }
-
-    #[test]
-    fn trace_serializes() {
-        let trace = sample_trace(1);
-        let json = ddrace_json::to_string(&trace).unwrap();
-        let back: Trace = ddrace_json::from_str(&json).unwrap();
-        assert_eq!(back, trace);
     }
 
     #[test]
@@ -324,11 +252,3 @@ mod tests {
         assert_eq!(recorder.trace().thread_count(), 1);
     }
 }
-
-ddrace_json::json_enum!(TraceEvent {
-    ThreadStarted { tid, parent },
-    Op { tid, op },
-    BarrierReleased { barrier, participants },
-    ThreadFinished { tid },
-});
-ddrace_json::json_struct!(Trace { events });

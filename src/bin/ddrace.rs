@@ -6,9 +6,8 @@
 //!                [--seed 42] [--cores 8] [--detector fasttrack]
 //!                [--inject-race N] [--json]
 //! ddrace compare --bench kmeans [--scale small] [--seed 42] [--cores 8]
-//! ddrace record  --bench kmeans --out trace.json [--format json|binary]
-//!                [--scale test] [--seed 42]
-//! ddrace analyze --trace trace.json [--mode continuous] [--cores 8]
+//! ddrace record  --bench kmeans --out trace.ddrt [--scale test] [--seed 42]
+//! ddrace analyze --trace trace.ddrt [--mode continuous] [--cores 8]
 //! ddrace ingest  --traces a.ddrt,b.ddrt [--detectors fasttrack,djit]
 //!                [--modes continuous] [--cores 8] [--workers N]
 //!                [--replay-workers N] [--events FILE|-] [--resume FILE]
@@ -23,10 +22,11 @@
 //! ddrace fuzz    --replay FILE
 //! ```
 
+use ddrace::program::{Event, Scheduler};
 use ddrace::{
-    resume_campaign, run_campaign, AnalysisMode, CacheConfig, Campaign, ConfigPatch, DetectorKind,
-    EventSink, JobVariant, ResumeLog, RunResult, Scale, SchedulerConfig, SimConfig, Simulation,
-    TraceSource, TraceWriter, WorkloadSpec,
+    replay, resume_campaign, run_campaign, AnalysisMode, CacheConfig, Campaign, ConfigPatch,
+    DetectorKind, EventSink, JobVariant, ResumeLog, RunResult, Scale, SchedulerConfig, SimConfig,
+    Simulation, TraceSink, TraceSource, TraceWriter, WorkloadSpec,
 };
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -37,7 +37,10 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(&args[1..]) {
+    let flags = match known_flags(command)
+        .ok_or_else(|| format!("unknown command `{command}`"))
+        .and_then(|known| parse_flags(command, known, &args[1..]))
+    {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -54,11 +57,11 @@ fn main() -> ExitCode {
         "campaign" => cmd_campaign(&flags),
         "fuzz" => cmd_fuzz(&flags),
         "native-probe" => cmd_native_probe(&flags),
-        "help" | "--help" | "-h" => {
+        // `help` and its spellings: `known_flags` refused every other name.
+        _ => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -87,8 +90,7 @@ USAGE:
                    [--seed N] [--cores N] [--detector KIND] [--inject-race N]
                    [--json] [--detail] [--timeline]
     ddrace compare --bench NAME [--scale SCALE] [--seed N] [--cores N]
-    ddrace record  --bench NAME --out FILE [--format json|binary]
-                   [--scale SCALE] [--seed N]
+    ddrace record  --bench NAME --out FILE [--scale SCALE] [--seed N]
     ddrace analyze --trace FILE [--mode MODE] [--cores N] [--detector KIND]
     ddrace ingest  --traces FILE[,FILE,...] [--detectors KIND,KIND,...]
                    [--modes MODE,MODE,...] [--cores N] [--workers N]
@@ -113,22 +115,26 @@ PROBE:      native-probe reports which counter backend the native
             machine-readable JSON.
 
 FUZZ:       generates --count program specs from --seed and checks every
-            one against the conformance oracles (FastTrack vs Djit⁺ vs an
-            independent reference detector, demand ⊆ continuous with each
-            miss attributed, scheduler-picker equivalence, and the
+            one against the conformance oracles (record/replay round trip,
+            FastTrack vs Djit⁺ vs an independent reference detector,
+            demand ⊆ continuous with each miss attributed, and the
             metamorphic thread/address/padding transforms). Failures are
             shrunk to minimal reproducer files in --repro-dir (default
             `.`), replayable with --replay. --fault plants a deliberate
             reference-detector bug (drop-write-write | ignore-unlock) to
             demonstrate the oracles catch it; the default is none.
 
+TRACES:     `record` writes the DDRT binary trace format, the only
+            serialized trace format; `analyze` and `ingest` read it and
+            refuse anything else (exit code 2).
+
 INGEST:     runs detection as an offline service over traces recorded
-            with `ddrace record --format binary` (or by the native
-            monitor): every trace × mode × detector cell replays on the
-            worker pool and folds into the same byte-deterministic
-            aggregate as `campaign`. Foreign, corrupt, or truncated
-            traces are refused up front with the failing byte offset
-            (exit code 2). --replay-workers N fans each continuous-mode
+            with `ddrace record` (or by the native monitor): every
+            trace × mode × detector cell replays on the worker pool and
+            folds into the same byte-deterministic aggregate as
+            `campaign`. Foreign, corrupt, or truncated traces are
+            refused up front with the failing byte offset (exit code
+            2). --replay-workers N fans each continuous-mode
             FastTrack replay across N detection threads (0 = serial, the
             default); results are byte-identical at any worker count.
 
@@ -152,13 +158,42 @@ SCALES:     test | small | large
 DETECTORS:  fasttrack | djit | lockset
 BENCHES:    see `ddrace list`";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// The flags `command` accepts, space-separated, or `None` for an
+/// unknown command.
+fn known_flags(command: &str) -> Option<&'static str> {
+    Some(match command {
+        "list" | "help" | "--help" | "-h" => "",
+        "run" => "bench spec inject-race scale seed cores mode detector json detail timeline",
+        "compare" => "bench spec inject-race scale seed cores",
+        "record" => "bench spec inject-race scale seed out",
+        "analyze" => "trace cores mode detector json detail timeline",
+        "ingest" => "traces modes detectors cores workers replay-workers resume events out quiet",
+        "campaign" => {
+            "suite modes scale seed seeds cores workers variants cores-sweep detector \
+             timeout-secs resume events out quiet"
+        }
+        "fuzz" => "replay seed count workers fault resume events out repro-dir quiet",
+        "native-probe" => "json",
+        _ => return None,
+    })
+}
+
+/// Parses `--key value` pairs and the value-less switches, refusing any
+/// flag `command` does not take.
+fn parse_flags(
+    command: &str,
+    known: &str,
+    args: &[String],
+) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| format!("expected a --flag, found `{}`", args[i]))?;
+        if !known.split_whitespace().any(|k| k == key) {
+            return Err(format!("`{command}` does not take --{key}"));
+        }
         if key == "json" || key == "detail" || key == "timeline" || key == "quiet" {
             flags.insert(key.to_string(), "true".to_string());
             i += 1;
@@ -519,36 +554,25 @@ fn cmd_record(flags: &HashMap<String, String>) -> Result<(), String> {
         seed: common.seed,
         jitter: true,
     };
-    let trace =
-        ddrace::program::Trace::record(common.spec.program(common.scale, common.seed), scheduler)
-            .map_err(|e| e.to_string())?;
-    match flags.get("format").map(String::as_str).unwrap_or("json") {
-        "json" => {
-            let json = ddrace::json::to_string(&trace).map_err(|e| e.to_string())?;
-            std::fs::write(out, json).map_err(|e| e.to_string())?;
-        }
-        "binary" => {
-            let file = std::fs::File::create(out).map_err(|e| format!("--out {out}: {e}"))?;
-            let mut writer = TraceWriter::new(std::io::BufWriter::new(file))
-                .map_err(|e| format!("--out {out}: {e}"))?;
-            for event in trace.events() {
-                writer.record_event(event);
-            }
-            writer
-                .finish()
-                .and_then(|mut w| std::io::Write::flush(&mut w))
-                .map_err(|e| format!("--out {out}: {e}"))?;
-        }
-        other => {
-            return Err(format!(
-                "unknown format `{other}` (expected json or binary)"
-            ))
-        }
-    }
+    let file = std::fs::File::create(out).map_err(|e| format!("--out {out}: {e}"))?;
+    let mut writer =
+        TraceWriter::new(std::io::BufWriter::new(file)).map_err(|e| format!("--out {out}: {e}"))?;
+    // Events are encoded as the scheduler emits them; the run is never
+    // held in memory.
+    let mut threads = 0usize;
+    let stats = Scheduler::new(common.spec.program(common.scale, common.seed), scheduler)
+        .run(&mut |event: Event<'_>| {
+            threads += usize::from(matches!(event, Event::ThreadStarted { .. }));
+            writer.event(&event);
+        })
+        .map_err(|e| e.to_string())?;
+    writer
+        .finish()
+        .and_then(|mut w| std::io::Write::flush(&mut w))
+        .map_err(|e| format!("--out {out}: {e}"))?;
     println!(
-        "recorded {} ops across {} threads to {out}",
-        trace.op_count(),
-        trace.thread_count()
+        "recorded {} ops across {threads} threads to {out}",
+        stats.ops_executed
     );
     Ok(())
 }
@@ -828,29 +852,17 @@ fn cmd_fuzz_replay(path: &str) -> Result<(), String> {
 
 fn cmd_analyze(flags: &HashMap<String, String>) -> Result<(), String> {
     let path = flags.get("trace").ok_or("--trace FILE is required")?;
-    let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
     let cores = flags
         .get("cores")
         .map(|s| s.parse().map_err(|_| "--cores takes a number"))
         .transpose()?
         .unwrap_or(8);
     let cfg = sim_config(flags, cores, 0)?;
-    // Binary traces announce themselves by magic; anything else is
-    // treated as the JSON format `ddrace record` wrote historically.
-    let result = if bytes.starts_with(&ddrace::trace::MAGIC) {
-        // Streamed: events go to the detector as they decode, so peak
-        // memory is one codec frame rather than the materialized list.
-        let sim = Simulation::new(cfg);
-        let mut replay = sim.trace_replay();
-        ddrace::trace::decode_events_into(bytes.as_slice(), |event| replay.push(event))
-            .unwrap_or_else(|e| refuse_trace(path, &e));
-        replay.finish()
-    } else {
-        let json = String::from_utf8(bytes).map_err(|e| e.to_string())?;
-        let trace: ddrace::program::Trace =
-            ddrace::json::from_str(&json).map_err(|e| e.to_string())?;
-        Simulation::new(cfg).run_trace(&trace)
-    };
+    let file = std::fs::File::open(path).map_err(|e| format!("--trace {path}: {e}"))?;
+    // Streamed: events go to the detector as they decode, so peak memory
+    // is one codec frame rather than the whole trace.
+    let result =
+        replay(std::io::BufReader::new(file), cfg, 0).unwrap_or_else(|e| refuse_trace(path, &e));
     print_result(
         &result,
         flags.contains_key("json"),

@@ -79,7 +79,7 @@ pub use ddrace_detector::{
     DetectorConfig, FastTrack, Granularity, RaceDetector, RaceKind, RaceReport,
 };
 pub use ddrace_harness::{
-    resume_campaign, run_campaign, Campaign, CampaignReport, ConfigPatch, EventSink, Job,
+    replay, resume_campaign, run_campaign, Campaign, CampaignReport, ConfigPatch, EventSink, Job,
     JobVariant, ResumeLog, TraceSource,
 };
 pub use ddrace_pmu::{IndicatorMode, SharingIndicator};

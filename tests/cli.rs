@@ -106,7 +106,7 @@ fn compare_prints_all_modes() {
 fn record_then_analyze_roundtrip() {
     let dir = std::env::temp_dir().join(format!("ddrace-cli-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let trace_path = dir.join("trace.json");
+    let trace_path = dir.join("trace.ddrt");
 
     let out = stdout_of({
         let mut c = ddrace();
@@ -152,8 +152,6 @@ fn binary_record_analyze_ingest_pipeline() {
             "sparse_race",
             "--scale",
             "test",
-            "--format",
-            "binary",
             "--out",
             trace.to_str().unwrap(),
         ]);
@@ -162,7 +160,6 @@ fn binary_record_analyze_ingest_pipeline() {
     assert!(out.contains("recorded"));
     assert_eq!(&std::fs::read(&trace).unwrap()[..4], b"DDRT");
 
-    // `analyze` auto-detects the binary format by magic.
     let out = stdout_of({
         let mut c = ddrace();
         c.args([
@@ -218,8 +215,6 @@ fn corrupt_traces_are_refused_with_exit_2() {
             "sparse_race",
             "--scale",
             "test",
-            "--format",
-            "binary",
             "--out",
             trace.to_str().unwrap(),
         ]);
@@ -254,7 +249,33 @@ fn corrupt_traces_are_refused_with_exit_2() {
     std::fs::write(&foreign, b"PNG\x0d\x0a not ours").unwrap();
     let stderr = refuse(&foreign);
     assert!(stderr.contains("refusing to ingest"), "{stderr}");
+
+    // `analyze` reads only DDRT too: a JSON trace (the retired format)
+    // is refused the same way.
+    let json = dir.join("old.json");
+    std::fs::write(&json, br#"{"events":[]}"#).unwrap();
+    let out = ddrace()
+        .args(["analyze", "--trace", json.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "non-DDRT input must exit 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("refusing to ingest"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unknown_flags_are_rejected() {
+    // Each subcommand names the flags it takes; a misspelt or retired
+    // flag is a usage error (exit 1) naming it, never silently ignored.
+    let record = "record --bench unprotected_counter --format json --out unused.ddrt";
+    let ingest = "ingest --traces unused.ddrt --replay-worker 2";
+    for (args, flag) in [(record, "--format"), (ingest, "--replay-worker")] {
+        let out = ddrace().args(args.split(' ')).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "names {flag}: {stderr}");
+    }
 }
 
 #[test]

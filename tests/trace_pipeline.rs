@@ -1,6 +1,7 @@
 //! End-to-end pins on the record → ingest pipeline: the binary format's
-//! exact bytes (golden file), and byte-identical `ddrace ingest`
-//! aggregates across a kill-then-resume at any worker count.
+//! exact bytes (golden file, and `ddrace record`'s output), and
+//! byte-identical `ddrace ingest` aggregates across a kill-then-resume at
+//! any worker count.
 
 use ddrace::{SchedulerConfig, TraceWriter};
 use std::path::PathBuf;
@@ -16,13 +17,14 @@ fn workers() -> String {
     std::env::var("DDRACE_WORKERS").unwrap_or_else(|_| "2".to_string())
 }
 
-/// Encodes a small recorded run with a tiny flush threshold, so the pin
-/// covers multi-frame layout, not just one big frame.
-fn small_trace_bytes() -> Vec<u8> {
+/// `unprotected_counter` at test scale, seed 42, scheduled as `ddrace
+/// record` schedules it (`jittered(42)`: quantum 32), encoded from the
+/// in-memory `Trace` with the given frame flush threshold.
+fn counter_trace_bytes(threshold: usize) -> Vec<u8> {
     let program = ddrace::racy::unprotected_counter().program(ddrace::Scale::TEST, 42);
     let trace = ddrace::program::Trace::record(program, SchedulerConfig::jittered(42))
         .expect("deadlock-free by construction");
-    let mut writer = TraceWriter::with_flush_threshold(Vec::new(), 256).unwrap();
+    let mut writer = TraceWriter::with_flush_threshold(Vec::new(), threshold).unwrap();
     for event in trace.events() {
         writer.record_event(event);
     }
@@ -32,7 +34,8 @@ fn small_trace_bytes() -> Vec<u8> {
 #[test]
 fn recorded_trace_bytes_match_golden() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/trace_small.ddrt");
-    let actual = small_trace_bytes();
+    // A tiny flush threshold, so the pin covers multi-frame layout.
+    let actual = counter_trace_bytes(256);
     if std::env::var("DDRACE_UPDATE_GOLDEN").is_ok() {
         std::fs::write(&path, &actual).unwrap();
         return;
@@ -54,6 +57,34 @@ fn recorded_trace_bytes_match_golden() {
     );
 }
 
+/// `ddrace record` streams scheduler events straight into the writer;
+/// its file must equal a default-threshold writer fed the same run.
+#[test]
+fn cli_record_bytes_match_the_trace_writer() {
+    let out = std::env::temp_dir().join(format!("ddrace-record-{}.ddrt", std::process::id()));
+    let status = ddrace()
+        .args([
+            "record",
+            "--bench",
+            "unprotected_counter",
+            "--scale",
+            "test",
+        ])
+        .args(["--seed", "42", "--out", out.to_str().unwrap()])
+        .status()
+        .unwrap();
+    assert!(status.success());
+    let actual = std::fs::read(&out).unwrap();
+    std::fs::remove_file(&out).ok();
+    let expected = counter_trace_bytes(ddrace::trace::DEFAULT_FLUSH_THRESHOLD);
+    assert!(
+        expected == actual,
+        "record wrote {} bytes, the writer {}",
+        actual.len(),
+        expected.len()
+    );
+}
+
 #[test]
 fn ingest_resume_is_byte_identical() {
     let dir = std::env::temp_dir().join(format!(
@@ -71,8 +102,6 @@ fn ingest_resume_is_byte_identical() {
                 bench,
                 "--scale",
                 "test",
-                "--format",
-                "binary",
                 "--out",
                 out.to_str().unwrap(),
             ])

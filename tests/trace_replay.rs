@@ -1,6 +1,10 @@
-//! Cross-crate integration: record-once / analyze-many via traces.
+//! Cross-crate integration: record-once / analyze-many via DDRT traces,
+//! all replayed through `ddrace::replay`.
 
-use ddrace::{phoenix, racy, AnalysisMode, Scale, SchedulerConfig, SimConfig, Simulation};
+use ddrace::{
+    phoenix, racy, replay, AnalysisMode, RunResult, Scale, SchedulerConfig, SimConfig, Simulation,
+    TraceWriter,
+};
 use ddrace_program::Trace;
 
 fn config(mode: AnalysisMode) -> SimConfig {
@@ -13,6 +17,20 @@ fn config(mode: AnalysisMode) -> SimConfig {
     cfg
 }
 
+/// `trace` in the DDRT format.
+fn encode(trace: &Trace) -> Vec<u8> {
+    let mut writer = TraceWriter::new(Vec::new()).unwrap();
+    for event in trace.events() {
+        writer.record_event(event);
+    }
+    writer.finish().unwrap()
+}
+
+/// Serial replay of DDRT `bytes` under `mode`.
+fn analyze(bytes: &[u8], mode: AnalysisMode) -> RunResult {
+    replay(bytes, config(mode), 0).unwrap()
+}
+
 #[test]
 fn replayed_analysis_matches_direct_run() {
     let spec = racy::unprotected_counter();
@@ -22,7 +40,7 @@ fn replayed_analysis_matches_direct_run() {
     let direct = Simulation::new(config(AnalysisMode::Continuous))
         .run(spec.program(Scale::TEST, 5))
         .unwrap();
-    let replayed = Simulation::new(config(AnalysisMode::Continuous)).run_trace(&trace);
+    let replayed = analyze(&encode(&trace), AnalysisMode::Continuous);
 
     // The trace carries the same interleaving the direct run used (same
     // seed), so analysis results are identical.
@@ -37,11 +55,11 @@ fn replayed_analysis_matches_direct_run() {
 fn one_trace_many_configurations() {
     let spec = racy::mostly_locked();
     let scheduler = config(AnalysisMode::Native).scheduler;
-    let trace = Trace::record(spec.program(Scale::TEST, 9), scheduler).unwrap();
+    let bytes = encode(&Trace::record(spec.program(Scale::TEST, 9), scheduler).unwrap());
 
-    let native = Simulation::new(config(AnalysisMode::Native)).run_trace(&trace);
-    let cont = Simulation::new(config(AnalysisMode::Continuous)).run_trace(&trace);
-    let demand = Simulation::new(config(AnalysisMode::demand_hitm())).run_trace(&trace);
+    let native = analyze(&bytes, AnalysisMode::Native);
+    let cont = analyze(&bytes, AnalysisMode::Continuous);
+    let demand = analyze(&bytes, AnalysisMode::demand_hitm());
 
     assert_eq!(native.races.distinct, 0);
     assert!(cont.races.distinct > 0);
@@ -53,16 +71,19 @@ fn one_trace_many_configurations() {
 }
 
 #[test]
-fn trace_json_roundtrip() {
+fn trace_ddrt_roundtrip() {
     let spec = phoenix::string_match();
     let scheduler = config(AnalysisMode::Native).scheduler;
     let trace = Trace::record(spec.program(Scale::TEST, 2), scheduler).unwrap();
-    let json = ddrace::json::to_string(&trace).unwrap();
-    let back: Trace = ddrace::json::from_str(&json).unwrap();
-    assert_eq!(back, trace);
-    // And the deserialized trace analyzes identically.
-    let a = Simulation::new(config(AnalysisMode::Continuous)).run_trace(&trace);
-    let b = Simulation::new(config(AnalysisMode::Continuous)).run_trace(&back);
-    assert_eq!(a.makespan, b.makespan);
-    assert_eq!(a.races.distinct, b.races.distinct);
+    let bytes = encode(&trace);
+    let (decoded, hitm) = ddrace::trace::decode_events(bytes.as_slice()).unwrap();
+    assert_eq!(decoded, trace.events());
+    assert_eq!(hitm, 0);
+    // And the decoded trace analyzes like a live run of the same schedule.
+    let live = Simulation::new(config(AnalysisMode::Continuous))
+        .run(spec.program(Scale::TEST, 2))
+        .unwrap();
+    let replayed = analyze(&bytes, AnalysisMode::Continuous);
+    assert_eq!(replayed.makespan, live.makespan);
+    assert_eq!(replayed.races.distinct, live.races.distinct);
 }
