@@ -3,11 +3,11 @@
 //! byte-deterministic aggregate.
 //!
 //! Each job is one spec index: generate the spec from its derived seed,
-//! run [`check_spec_with`](crate::oracles::check_spec_with), and — when
-//! an oracle fails — shrink the spec and embed the minimized reproducer
-//! in the job's outcome. Oracle violations are *data*, not job failures:
-//! the job still finishes (so its payload lands in the checkpoint and
-//! survives a resume), and the caller counts violations after the run.
+//! run [`check_spec_with`], and — when an oracle fails — shrink the spec
+//! and embed the minimized reproducer in the job's outcome. Oracle
+//! violations are *data*, not job failures: the job still finishes (so
+//! its payload lands in the checkpoint and survives a resume), and the
+//! caller counts violations after the run.
 //!
 //! Determinism contract: with [`EventSink::with_deterministic_wall`] the
 //! event stream is byte-identical across reruns up to line order (sort to

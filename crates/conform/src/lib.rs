@@ -6,15 +6,13 @@
 //! numbering is arbitrary"). This crate turns those claims into executable
 //! oracles and hammers them with generated programs:
 //!
-//! - [`spec`] — the [`FuzzSpec`](spec::FuzzSpec) intermediate
-//!   representation and its total lowering to a runnable
-//!   [`Program`](ddrace_program::Program);
+//! - [`spec`] — the [`FuzzSpec`] intermediate representation and its
+//!   total lowering to a runnable [`Program`](ddrace_program::Program);
 //! - [`gen`] — seeded spec generation, biased toward lock, fork-join,
 //!   barrier, and deliberately racy structures;
-//! - [`refdet`] — [`RefHb`](refdet::RefHb), a from-spec reference
-//!   happens-before detector over a plain `HashMap`, plus the planted
-//!   [`Fault`](refdet::Fault) hook that proves the oracles can catch real
-//!   bugs;
+//! - [`refdet`] — [`RefHb`], a from-spec reference happens-before
+//!   detector over a plain `HashMap`, plus the planted [`Fault`] hook
+//!   that proves the oracles can catch real bugs;
 //! - [`oracles`] — the battery: differential (record/replay round trip;
 //!   FastTrack vs Djit⁺ vs reference; demand ⊆ continuous with every miss
 //!   attributed) and metamorphic (thread permutation, address

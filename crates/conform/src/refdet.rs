@@ -3,9 +3,9 @@
 //! [`RefHb`] re-implements the Djit⁺ algorithm *from its specification* —
 //! full read/write vector clocks per shadow word over [`HbClocks`] — but
 //! on top of `std::collections::HashMap` instead of the production
-//! [`ShadowTable`](ddrace_shadow::ShadowTable). Comparing its report
-//! vector **byte-for-byte** against the production `Djit` run on the same
-//! trace therefore discharges two oracles at once: a third independent
+//! `ddrace_shadow::ShadowTable`. Comparing its report vector
+//! **byte-for-byte** against the production `Djit` run on the same trace
+//! therefore discharges two oracles at once: a third independent
 //! happens-before implementation must agree, and the open-addressed
 //! shadow table must behave exactly like the reference map.
 //!

@@ -407,15 +407,10 @@ impl RaceDetector for FastTrack {
     fn on_access(&mut self, tid: ThreadId, addr: Addr, kind: AccessKind) -> AccessReport {
         self.stats.accesses_checked += 1;
         let key = self.granularity.key(addr);
-        match kind {
-            AccessKind::Read | AccessKind::RelaxedLoad => self.check_read(tid, addr, key),
-            // Atomic RMWs are synchronization, not checked accesses; treat
-            // a (mis-routed) RMW as its write half. Relaxed atomics carry no
-            // ordering, so they are checked like the plain access they are.
-            AccessKind::Write
-            | AccessKind::AtomicRmw
-            | AccessKind::RelaxedStore
-            | AccessKind::RelaxedRmw => self.check_write(tid, addr, key),
+        if kind.is_write() {
+            self.check_write(tid, addr, key)
+        } else {
+            self.check_read(tid, addr, key)
         }
     }
 

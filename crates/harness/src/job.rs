@@ -1,14 +1,15 @@
 //! The job model: one [`Job`] is a single simulator run; a [`Campaign`] is
 //! a declarative set of jobs built from sweep axes.
 
+use crate::resume::{fnv1a_fold, FNV1A_OFFSET};
 use crate::variant::JobVariant;
 use ddrace_core::{AnalysisMode, DetectorKind, RunResult, SimConfig, Simulation};
 use ddrace_pmu::IndicatorMode;
 use ddrace_program::{PickStrategy, SchedulerConfig};
-use ddrace_trace::{TraceError, TraceReader};
+use ddrace_trace::{decode_events_into, TraceError};
 use ddrace_workloads::{Scale, WorkloadSpec};
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{self, BufReader, Read};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -33,19 +34,23 @@ pub struct TraceSource {
 }
 
 impl TraceSource {
-    /// Opens and fully validates a trace file.
+    /// Opens and fully validates a trace file, streaming it: peak memory
+    /// is one frame of the trace codec, however long the trace.
     pub fn load(path: impl AsRef<Path>) -> Result<TraceSource, TraceError> {
         let path = path.as_ref();
-        let bytes = std::fs::read(path).map_err(|e| TraceError::Io {
+        let file = File::open(path).map_err(|e| TraceError::Io {
             offset: 0,
             source: e,
         })?;
-        let fingerprint = crate::resume::fnv1a(&bytes);
-        let mut records = 0u64;
-        for record in TraceReader::new(bytes.as_slice())? {
-            record?;
-            records += 1;
-        }
+        let mut input = Fnv1aReader {
+            inner: BufReader::new(file),
+            hash: FNV1A_OFFSET,
+        };
+        // The decoder reads to end of file (it refuses trailing bytes), so
+        // on success every byte has passed through the hash.
+        let summary = decode_events_into(&mut input, |_| {})?;
+        let fingerprint = input.hash;
+        let records = summary.events + summary.hitm_samples;
         let name = path
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
@@ -56,6 +61,21 @@ impl TraceSource {
             fingerprint,
             records,
         })
+    }
+}
+
+/// A reader that folds FNV-1a over the bytes as they pass, so a trace is
+/// hashed in the same pass that validates it.
+struct Fnv1aReader<R> {
+    inner: R,
+    hash: u64,
+}
+
+impl<R: Read> Read for Fnv1aReader<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.hash = fnv1a_fold(self.hash, &buf[..n]);
+        Ok(n)
     }
 }
 

@@ -38,7 +38,15 @@ use std::time::Duration;
 /// fingerprint. Public so other checkpointed runs (the conformance
 /// fuzzer) fingerprint their job specs the same way.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_fold(FNV1A_OFFSET, bytes)
+}
+
+/// The FNV-1a starting state: [`fnv1a`] of no bytes.
+pub(crate) const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into a running FNV-1a `hash`. The hash is byte-sequential,
+/// so folding a stream piece by piece equals [`fnv1a`] of the whole.
+pub(crate) fn fnv1a_fold(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);

@@ -5,8 +5,9 @@
 //! aggregate like any generator job.
 
 use ddrace_core::{AnalysisMode, RunResult, SimConfig, Simulation};
-use ddrace_harness::{run_campaign, Campaign, EventSink, TraceSource};
-use ddrace_trace::TraceWriter;
+use ddrace_harness::{fnv1a, run_campaign, Campaign, EventSink, TraceSource};
+use ddrace_program::{Addr, ThreadId, TraceEvent};
+use ddrace_trace::{decode_events_into, TraceWriter};
 use ddrace_workloads::{racy, Scale, WorkloadSpec};
 use std::path::PathBuf;
 
@@ -103,6 +104,26 @@ fn trace_fingerprint_follows_content_not_path() {
     let c = TraceSource::load(&other).unwrap();
     assert_eq!(a.fingerprint, b.fingerprint, "same bytes, same fingerprint");
     assert_ne!(a.fingerprint, c.fingerprint, "different runs must differ");
+
+    // Loading streams the file; the fingerprint must be the hash of the
+    // whole file and the record count the decoder's, or `--resume` would
+    // refuse checkpoints written before.
+    let bytes = std::fs::read(&path).unwrap();
+    assert_eq!(a.fingerprint, fnv1a(&bytes));
+    let decoded = decode_events_into(bytes.as_slice(), |_| {}).unwrap();
+    assert_eq!(a.records, decoded.events + decoded.hitm_samples);
+
+    // HITM samples count as records too (the job fingerprint hashes the
+    // count), though the decoder does not deliver them as events.
+    let mut writer = TraceWriter::new(Vec::new()).unwrap();
+    writer.record_event(&TraceEvent::ThreadStarted {
+        tid: ThreadId(0),
+        parent: None,
+    });
+    writer.record_hitm(0, Addr(0x40));
+    let sampled = path.with_file_name("fp-hitm.ddrt");
+    std::fs::write(&sampled, writer.finish().unwrap()).unwrap();
+    assert_eq!(TraceSource::load(&sampled).unwrap().records, 2);
 }
 
 #[test]

@@ -76,7 +76,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy produced by [`vec`].
+    /// Strategy produced by [`vec()`].
     #[derive(Clone)]
     pub struct VecStrategy<S> {
         pub(crate) element: S,

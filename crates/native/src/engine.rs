@@ -307,19 +307,10 @@ impl Engine {
         } = &mut *shard;
         stats.accesses_checked += 1;
         let var = shadow.get_or_insert_with(key, FtVarState::fresh);
-        let (verdict, race) = match kind {
-            AccessKind::Read | AccessKind::RelaxedLoad => {
-                ft_check_read(var, tid, addr, key, cache.epoch, &cache.vc, stats)
-            }
-            // Atomic RMWs are synchronization, not checked accesses; treat
-            // a (mis-routed) RMW as its write half — as FastTrack does.
-            // Relaxed atomics carry no ordering and check as plain accesses.
-            AccessKind::Write
-            | AccessKind::AtomicRmw
-            | AccessKind::RelaxedStore
-            | AccessKind::RelaxedRmw => {
-                ft_check_write(var, tid, addr, key, cache.epoch, &cache.vc, stats)
-            }
+        let (verdict, race) = if kind.is_write() {
+            ft_check_write(var, tid, addr, key, cache.epoch, &cache.vc, stats)
+        } else {
+            ft_check_read(var, tid, addr, key, cache.epoch, &cache.vc, stats)
         };
         if let Some(report) = race {
             stats.races_observed += 1;

@@ -32,8 +32,9 @@
 //! monitor-visible synchronization between them are racy on *every*
 //! schedule, so tests written against [`Monitor`] are deterministic. The
 //! sharded engine preserves this: reports, their order, and detector
-//! statistics are byte-stable versus a serialized [`FastTrack`] fed the
-//! same events (pinned by the `shard_equivalence` test suite).
+//! statistics are byte-stable versus a serialized
+//! [`FastTrack`](ddrace_detector::FastTrack) fed the same events (pinned
+//! by the `shard_equivalence` test suite).
 //!
 //! # Example
 //!
@@ -157,15 +158,6 @@ impl Monitor {
         Self::with_monitor_config(MonitorConfig::default())
     }
 
-    /// Creates a monitor with an explicit detector configuration (and
-    /// the default shard count).
-    pub fn with_config(config: DetectorConfig) -> (Arc<Monitor>, ThreadToken) {
-        Self::with_monitor_config(MonitorConfig {
-            detector: config,
-            ..MonitorConfig::default()
-        })
-    }
-
     /// Creates a monitor with full control of detector and engine
     /// geometry.
     ///
@@ -186,24 +178,6 @@ impl Monitor {
     /// Fails if the trace header cannot be written to `out`.
     pub fn recording(out: Box<dyn Write + Send>) -> io::Result<(Arc<Monitor>, ThreadToken)> {
         Self::recording_with_monitor_config(MonitorConfig::default(), out)
-    }
-
-    /// [`Monitor::recording`] with an explicit detector configuration.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the trace header cannot be written to `out`.
-    pub fn recording_with_config(
-        config: DetectorConfig,
-        out: Box<dyn Write + Send>,
-    ) -> io::Result<(Arc<Monitor>, ThreadToken)> {
-        Self::recording_with_monitor_config(
-            MonitorConfig {
-                detector: config,
-                ..MonitorConfig::default()
-            },
-            out,
-        )
     }
 
     /// [`Monitor::recording`] with full monitor configuration.

@@ -327,11 +327,7 @@ impl RaceDetector for ParallelReplayDetector {
             key,
             addr,
             tid,
-            // Atomic RMWs are synchronization, not checked accesses; a
-            // (mis-routed) RMW replays as its write half, as FastTrack
-            // and the live engine treat it. Relaxed loads check as
-            // reads, relaxed stores/RMWs as writes.
-            write: !matches!(kind, AccessKind::Read | AccessKind::RelaxedLoad),
+            write: kind.is_write(),
             snap,
         });
         self.pending += 1;

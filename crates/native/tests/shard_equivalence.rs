@@ -432,6 +432,13 @@ fn real_threads_record_vs_live_and_shard_counts_agree() {
             .unwrap();
             run_workers(&monitor, root, workers, iters);
             monitor.finish_recording().unwrap();
+            // Every data hook is checked, whatever the interleaving: one
+            // payload access per worker, then 8 per iteration.
+            assert_eq!(
+                monitor.stats().accesses_checked,
+                (workers * (1 + 8 * iters)) as u64,
+                "{workers} threads, {shards} shards: every data hook is checked"
+            );
             assert_eq!(
                 monitor.dropped_records(),
                 0,

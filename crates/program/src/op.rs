@@ -239,6 +239,12 @@ impl AccessKind {
     }
 
     /// Returns `true` if the access mutates memory (writes or RMWs).
+    ///
+    /// This is also the set every detector checks as a write. Relaxed
+    /// atomics carry no ordering, so a relaxed store or RMW checks like the
+    /// plain write it is. Atomic RMWs are synchronization, not checked
+    /// accesses; one that reaches a data-access check anyway (mis-routed)
+    /// checks as its write half.
     pub fn is_write(self) -> bool {
         matches!(
             self,

@@ -41,7 +41,7 @@
 //!
 //! Every decode error names a byte offset and ends with the same refusal
 //! style the harness pins for `--resume` fingerprint mismatches:
-//! "…; <what differs> — refusing to ingest".
+//! `"…; <what differs> — refusing to ingest"`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
