@@ -25,6 +25,11 @@ cargo test -q
 echo "==> workspace tests"
 cargo test -q --workspace
 
+# The DDRT decoder does arithmetic on sizes read from its input, and
+# release builds wrap where debug builds panic: run its tests in both.
+echo "==> trace decoder tests in release mode"
+cargo test -q --release -p ddrace-trace
+
 # The aggregate (and its interrupt-then-resume reconstruction) must be
 # byte-identical at any worker count; pin both ends of the range in CI,
 # not just whatever parallelism the local machine happens to have.

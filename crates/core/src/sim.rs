@@ -29,7 +29,7 @@ use ddrace_cache::{AccessResult, CacheHierarchy, CoreId};
 use ddrace_detector::{Djit, FastTrack, LockSet, RaceDetector};
 use ddrace_pmu::SharingIndicator;
 use ddrace_program::{
-    AccessKind, Addr, AddressSpace, Event, ExecutionListener, Op, OpCounts, Program, ScheduleError,
+    AccessKind, Addr, AddressSpace, ExecutionListener, Op, OpCounts, Program, ScheduleError,
     Scheduler, ThreadId, TraceEvent,
 };
 use ddrace_trace::TraceSink;
@@ -173,25 +173,7 @@ impl<'d> TraceReplay<'d> {
             }
             self.per_thread_ops[tid.index()] += 1;
         }
-        match event {
-            TraceEvent::ThreadStarted { tid, parent } => {
-                self.state.on_event(Event::ThreadStarted {
-                    tid: *tid,
-                    parent: *parent,
-                })
-            }
-            TraceEvent::Op { tid, op } => self.state.on_event(Event::Op { tid: *tid, op: *op }),
-            TraceEvent::BarrierReleased {
-                barrier,
-                participants,
-            } => self.state.on_event(Event::BarrierReleased {
-                barrier: *barrier,
-                participants,
-            }),
-            TraceEvent::ThreadFinished { tid } => {
-                self.state.on_event(Event::ThreadFinished { tid: *tid })
-            }
-        }
+        self.state.on_event(event);
     }
 
     /// Seals the replay into a [`RunResult`] and emits the
@@ -610,30 +592,30 @@ impl<'s> SimState<'s> {
 }
 
 impl ExecutionListener for SimState<'_> {
-    fn on_event(&mut self, event: Event<'_>) {
+    fn on_event(&mut self, event: &TraceEvent) {
         if let Some(sink) = self.sink.as_deref_mut() {
-            sink.event(&event);
+            sink.event(event);
         }
         match event {
-            Event::ThreadStarted { tid, parent } => {
+            TraceEvent::ThreadStarted { tid, parent } => {
                 if let Some(d) = &mut self.detector {
-                    d.on_thread_start(tid, parent);
+                    d.on_thread_start(*tid, *parent);
                 }
             }
-            Event::ThreadFinished { tid } => {
+            TraceEvent::ThreadFinished { tid } => {
                 if let Some(d) = &mut self.detector {
-                    d.on_thread_finish(tid);
+                    d.on_thread_finish(*tid);
                 }
             }
-            Event::BarrierReleased {
+            TraceEvent::BarrierReleased {
                 barrier,
                 participants,
             } => {
                 if let Some(d) = &mut self.detector {
-                    d.on_barrier_release(barrier, participants);
+                    d.on_barrier_release(*barrier, participants);
                 }
             }
-            Event::Op { tid, op } => self.handle_op(tid, op),
+            TraceEvent::Op { tid, op } => self.handle_op(*tid, *op),
         }
     }
 }

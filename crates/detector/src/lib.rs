@@ -60,7 +60,7 @@ pub use hb::HbClocks;
 pub use lockset::LockSet;
 pub use render::{render_report, render_summary};
 pub use report::{
-    merge_seq_report_sets, merge_seq_report_sets_capped, racy_keys, RaceAccess, RaceKind,
-    RaceReport, RaceReportSet, SeqReportSet,
+    merge_seq_report_sets_capped, racy_keys, RaceAccess, RaceKind, RaceReport, RaceReportSet,
+    SeqReportSet,
 };
 pub use vc::{Epoch, VectorClock, INLINE_THREADS};

@@ -208,7 +208,8 @@ impl RaceReportSet {
 /// shard (it is a function of `shadow_key`), so per-shard dedup equals
 /// global dedup, and a ticket drawn only for *new* distinct races
 /// reproduces the serialized detector's first-detection order and its
-/// `max_reports` cap exactly: [`merge_seq_report_sets`] sorts by ticket.
+/// `max_reports` cap exactly: [`merge_seq_report_sets_capped`] sorts by
+/// ticket.
 #[derive(Debug, Clone, Default)]
 pub struct SeqReportSet {
     set: RaceReportSet,
@@ -287,44 +288,19 @@ impl SeqReportSet {
 }
 
 /// Merges per-shard [`SeqReportSet`]s into one [`RaceReportSet`] in
-/// global first-detection order (ascending ticket), preserving merged
-/// occurrence counts. The result is byte-stable versus a serialized
-/// detector fed the same races in ticket order.
-pub fn merge_seq_report_sets<'a>(shards: impl Iterator<Item = &'a SeqReportSet>) -> RaceReportSet {
-    let mut entries = collect_seq_entries(shards);
-    entries.sort_unstable_by_key(|&(seq, _, _)| seq);
-    let mut merged = RaceReportSet::new();
-    for (_, report, occurrences) in entries {
-        merged.record_merged(report, occurrences);
-    }
-    merged
-}
-
-/// Like [`merge_seq_report_sets`], then applies a serialized detector's
-/// `max_reports` cap *after* the ascending-seq sort: the first
-/// `max_distinct` distinct races in global first-detection order are kept
-/// with their merged occurrence counts, and later distinct races are
-/// dropped entirely. That is exactly what a serialized detector at its
-/// cap does — a race first seen past the cap never enters its set, so
-/// none of that race's occurrences merge either. Used by offline replay,
-/// where workers record uncapped via [`SeqReportSet::record_at`].
+/// global first-detection order (ascending seq), preserving merged
+/// occurrence counts, then applies a serialized detector's `max_reports`
+/// cap: the first `max_distinct` distinct races in that order are kept,
+/// and later distinct races are dropped entirely. That is exactly what a
+/// serialized detector at its cap does — a race first seen past the cap
+/// never enters its set, so none of that race's occurrences merge either.
+/// The live monitor's tickets ([`SeqReportSet::record`]) never exceed the
+/// cap, so for it the cap changes nothing; offline replay records
+/// uncapped via [`SeqReportSet::record_at`] and relies on it.
 pub fn merge_seq_report_sets_capped<'a>(
     shards: impl Iterator<Item = &'a SeqReportSet>,
     max_distinct: usize,
 ) -> RaceReportSet {
-    let mut entries = collect_seq_entries(shards);
-    entries.sort_unstable_by_key(|&(seq, _, _)| seq);
-    entries.truncate(max_distinct);
-    let mut merged = RaceReportSet::new();
-    for (_, report, occurrences) in entries {
-        merged.record_merged(report, occurrences);
-    }
-    merged
-}
-
-fn collect_seq_entries<'a>(
-    shards: impl Iterator<Item = &'a SeqReportSet>,
-) -> Vec<(u64, RaceReport, u64)> {
     let mut entries: Vec<(u64, RaceReport, u64)> = Vec::new();
     for shard in shards {
         let reports = shard.set.reports();
@@ -333,7 +309,13 @@ fn collect_seq_entries<'a>(
             entries.push((seq, reports[i], occurrences[i]));
         }
     }
-    entries
+    entries.sort_unstable_by_key(|&(seq, _, _)| seq);
+    entries.truncate(max_distinct);
+    let mut merged = RaceReportSet::new();
+    for (_, report, occurrences) in entries {
+        merged.record_merged(report, occurrences);
+    }
+    merged
 }
 
 /// The sorted, deduplicated shadow keys a slice of reports covers — the
@@ -445,7 +427,7 @@ mod tests {
         // ...but duplicates of kept races still merge occurrences.
         assert!(!b.record(report(2, RaceKind::WriteRead, 0, 1), &ticket, 3));
 
-        let merged = merge_seq_report_sets([&a, &b].into_iter());
+        let merged = merge_seq_report_sets_capped([&a, &b].into_iter(), 3);
         assert_eq!(merged.distinct(), 3);
         let keys: Vec<u64> = merged.reports().iter().map(|r| r.shadow_key).collect();
         assert_eq!(keys, vec![1, 2, 3], "global first-detection order");
@@ -471,8 +453,9 @@ mod tests {
         let keys: Vec<u64> = merged.reports().iter().map(|r| r.shadow_key).collect();
         assert_eq!(keys, vec![1, 2]);
         assert_eq!(merged.occurrences(), &[2, 1]);
-        // The uncapped merge keeps everything, in first-detection order.
-        let full = merge_seq_report_sets([&a, &b].into_iter());
+        // A cap above the race count keeps everything, in first-detection
+        // order.
+        let full = merge_seq_report_sets_capped([&a, &b].into_iter(), 3);
         let keys: Vec<u64> = full.reports().iter().map(|r| r.shadow_key).collect();
         assert_eq!(keys, vec![1, 2, 3]);
         assert_eq!(full.occurrences(), &[2, 1, 2]);

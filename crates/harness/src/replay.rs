@@ -2,7 +2,7 @@
 
 use ddrace_core::{AnalysisMode, DetectorKind, RaceSummary, RunResult, SimConfig, Simulation};
 use ddrace_native::{ParallelReplayConfig, ParallelReplayDetector};
-use ddrace_trace::{decode_events_into, decode_events_into_parallel, TraceError};
+use ddrace_trace::{decode_events_into, TraceError};
 use std::io::Read;
 
 /// Streams a DDRT trace through the simulator under `cfg` without
@@ -11,6 +11,7 @@ use std::io::Read;
 /// analyze`, trace-corpus jobs, the conformance oracles — goes through
 /// here.
 ///
+/// The trace is decoded serially on this thread at every worker count.
 /// `workers == 0` replays serially with the detector `cfg` names. With
 /// `workers > 0`, continuous FastTrack analysis fans detection out across
 /// a worker pool while the simulation itself — cache hierarchy, cost
@@ -43,11 +44,7 @@ pub fn replay<R: Read>(input: R, cfg: SimConfig, workers: usize) -> Result<RunRe
     });
     let sim = Simulation::new(cfg);
     let mut replay = sim.trace_replay_with_detector(&mut detector);
-    // Frame-parallel decode: per-thread stream payloads decode on their
-    // own pool while this thread walks the merge order, so the serial
-    // stage of ingest shrinks to delivery + enqueue. Event order (and
-    // thus every downstream byte) is unchanged.
-    decode_events_into_parallel(input, workers.min(8), |event| replay.push(event))?;
+    decode_events_into(input, |event| replay.push(event))?;
     let mut result = replay.finish();
     let outcome = detector.finish();
     // `finish` emitted zeros for `detector.*` (the in-run detector is a

@@ -5,7 +5,8 @@
 //! records the configuration by design).
 
 use ddrace_core::{AnalysisMode, RunResult, SimConfig, Simulation};
-use ddrace_harness::{run_campaign, Campaign, CampaignReport, EventSink, TraceSource};
+use ddrace_harness::{replay, run_campaign, Campaign, CampaignReport, EventSink, TraceSource};
+use ddrace_program::{ProgramBuilder, ThreadId};
 use ddrace_trace::TraceWriter;
 use ddrace_workloads::{racy, Scale, WorkloadSpec};
 use std::path::PathBuf;
@@ -189,4 +190,61 @@ fn non_continuous_trace_jobs_fall_back_to_serial() {
         assert_eq!(got.detector, want.detector);
         assert_eq!(got.total_cycles, want.total_cycles);
     }
+}
+
+#[test]
+fn refusals_do_not_depend_on_the_detection_pool() {
+    // A small racy program: fork/join, an unprotected write pair, a
+    // lock-protected pair and a barrier, so the pool has checks in flight
+    // when the decoder refuses.
+    let mut b = ProgramBuilder::new();
+    let x = b.alloc_shared(64);
+    let lock = b.new_lock();
+    let bar = b.new_barrier();
+    let t1 = b.add_thread();
+    b.on(ThreadId::MAIN)
+        .fork(t1)
+        .write(x.index(0))
+        .lock(lock)
+        .write(x.index(8))
+        .unlock(lock)
+        .barrier(bar, 2)
+        .read(x.index(0))
+        .join(t1);
+    b.on(t1)
+        .write(x.index(0))
+        .lock(lock)
+        .read(x.index(8))
+        .unlock(lock)
+        .barrier(bar, 2);
+    let cfg = SimConfig::new(2, AnalysisMode::Continuous);
+    let mut writer = TraceWriter::new(Vec::new()).unwrap();
+    Simulation::new(cfg)
+        .run_recorded(b.build(), &mut writer)
+        .unwrap();
+    let bytes = writer.finish().unwrap();
+    assert!(replay(bytes.as_slice(), cfg, 2).unwrap().races.distinct > 0);
+
+    // Variant, offset and message: the whole refusal.
+    let refusal = |input: &[u8], workers: usize| {
+        let err = replay(input, cfg, workers).expect_err("a damaged trace must be refused");
+        (format!("{err:?}"), err.to_string())
+    };
+    for cut in 0..bytes.len() {
+        let cut = &bytes[..cut];
+        assert_eq!(refusal(cut, 0), refusal(cut, 2), "cut at {}", cut.len());
+    }
+    // The last payload byte is thread 1's `ThreadFinished` opcode (0x01),
+    // just before the end marker (0x00 and a one-byte record count).
+    let opcode = bytes.len() - 3;
+    assert_eq!(bytes[opcode..opcode + 2], [0x01, 0x00]);
+    let mut corrupt = bytes.clone();
+    corrupt[opcode] = 0x3f;
+    let serial = refusal(&corrupt, 0);
+    assert!(
+        serial.1.contains("unknown record opcode 0x3f"),
+        "{}",
+        serial.1
+    );
+    assert_eq!(serial, refusal(&corrupt, 2));
 }

@@ -41,9 +41,8 @@
 
 use ddrace_detector::{
     ft_check_read, ft_check_read_batch, ft_check_write, ft_check_write_batch,
-    merge_seq_report_sets, merge_seq_report_sets_capped, AccessReport, DetectorConfig,
-    DetectorStats, Epoch, FtBatchAccess, FtVarState, Granularity, HbClocks, RaceReportSet,
-    SeqReportSet, VectorClock,
+    merge_seq_report_sets_capped, AccessReport, DetectorConfig, DetectorStats, Epoch,
+    FtBatchAccess, FtVarState, Granularity, HbClocks, RaceReportSet, SeqReportSet, VectorClock,
 };
 use ddrace_program::{AccessKind, Addr, BarrierId, Op, ThreadId};
 use ddrace_shadow::{shard_of, ShadowTable};
@@ -270,18 +269,6 @@ impl Engine {
         });
     }
 
-    /// Merges per-shard report sets recorded via
-    /// [`Engine::replay_read_batch`]/[`Engine::replay_write_batch`],
-    /// applying the `max_reports` cap *after* the merge — equivalent to a
-    /// serialized detector capping at first detection, because a race
-    /// whose first-detection seq sorts past the cap never entered a
-    /// serialized set either (so none of its occurrences merged).
-    pub(crate) fn replay_report_set(&self) -> RaceReportSet {
-        let guards: Vec<MutexGuard<'_, Shard>> =
-            self.shards.iter().map(|s| s.lock().unwrap()).collect();
-        merge_seq_report_sets_capped(guards.iter().map(|g| &g.reports), self.max_reports)
-    }
-
     /// Runs `f` while holding the sync lock, quiescing sync-path hooks.
     /// Trace shutdown uses this so the final drain-and-seal is a valid
     /// continuation of the recorded sync order.
@@ -325,11 +312,18 @@ impl Engine {
         self.ticket.load(std::sync::atomic::Ordering::Relaxed) as usize
     }
 
-    /// Merges per-shard report sets into global first-detection order.
+    /// Merges per-shard report sets into global first-detection order,
+    /// applying the `max_reports` cap *after* the merge. Live hooks never
+    /// issue more tickets than the cap, so there it changes nothing.
+    /// Offline replay ([`Engine::replay_read_batch`] /
+    /// [`Engine::replay_write_batch`]) records uncapped, and the cap here
+    /// equals a serialized detector capping at first detection: a race
+    /// whose first-detection seq sorts past the cap never entered a
+    /// serialized set either (so none of its occurrences merged).
     pub(crate) fn report_set(&self) -> RaceReportSet {
         let guards: Vec<MutexGuard<'_, Shard>> =
             self.shards.iter().map(|s| s.lock().unwrap()).collect();
-        merge_seq_report_sets(guards.iter().map(|g| &g.reports))
+        merge_seq_report_sets_capped(guards.iter().map(|g| &g.reports), self.max_reports)
     }
 
     /// Aggregated detector statistics: per-shard counters summed, plus

@@ -741,7 +741,8 @@ mod tests {
 
     fn decode(buf: &SharedBuf) -> Vec<TraceEvent> {
         let bytes = buf.0.lock().unwrap().clone();
-        let (events, _hitm) = ddrace_trace::decode_events(bytes.as_slice()).unwrap();
+        let mut events = Vec::new();
+        ddrace_trace::decode_events_into(bytes.as_slice(), |e| events.push(e.clone())).unwrap();
         events
     }
 

@@ -224,7 +224,7 @@ impl ParallelReplayDetector {
             batches += handle.join().expect("replay worker panicked");
         }
         ParallelReplayOutcome {
-            reports: self.engine.replay_report_set(),
+            reports: self.engine.report_set(),
             stats: self.engine.stats(),
             accesses: self.accesses,
             batches,

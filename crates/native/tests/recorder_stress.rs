@@ -30,7 +30,8 @@ impl std::io::Write for SharedBuf {
 
 fn decode(sink: &SharedBuf) -> Vec<TraceEvent> {
     let bytes = sink.0.lock().unwrap().clone();
-    let (events, _hitm) = ddrace_trace::decode_events(bytes.as_slice()).unwrap();
+    let mut events = Vec::new();
+    ddrace_trace::decode_events_into(bytes.as_slice(), |e| events.push(e.clone())).unwrap();
     events
 }
 

@@ -10,16 +10,17 @@
 //! semaphores, pure compute). The [`Scheduler`] interleaves the threads
 //! deterministically (seeded, quantum-based, optionally jittered), enforces
 //! blocking semantics, and delivers every executed operation to an
-//! [`ExecutionListener`] in one global order. Higher layers — the cache
-//! simulator, the PMU model, and the race detector — are all listeners over
-//! this stream.
+//! [`ExecutionListener`] as a [`TraceEvent`], in one global order. Higher
+//! layers — the cache simulator, the PMU model, and the race detector — are
+//! all listeners over this stream, and a recorded trace replays the same
+//! events to them.
 //!
 //! # Example
 //!
 //! Build and run a tiny two-thread program:
 //!
 //! ```
-//! use ddrace_program::{Event, ProgramBuilder, SchedulerConfig, ThreadId, run_program};
+//! use ddrace_program::{ProgramBuilder, SchedulerConfig, ThreadId, TraceEvent, run_program};
 //!
 //! let mut b = ProgramBuilder::new();
 //! let x = b.alloc_shared(8).base();
@@ -28,8 +29,8 @@
 //! b.on(worker).read(x);
 //!
 //! let mut n = 0;
-//! let stats = run_program(b.build(), SchedulerConfig::default(), &mut |e: Event<'_>| {
-//!     if matches!(e, Event::Op { .. }) { n += 1; }
+//! let stats = run_program(b.build(), SchedulerConfig::default(), &mut |e: &TraceEvent| {
+//!     if matches!(e, TraceEvent::Op { .. }) { n += 1; }
 //! })?;
 //! assert_eq!(n, 4);
 //! assert_eq!(stats.ops_executed, 4);
@@ -61,8 +62,8 @@ pub use program::{OpStream, Program, StartMode};
 pub use rng::Prng;
 pub use runqueue::RunQueue;
 pub use schedule::{
-    run_program, Event, ExecutionListener, NullListener, PickStrategy, RunStats, Scheduler,
+    run_program, ExecutionListener, NullListener, PickStrategy, RunStats, Scheduler,
     SchedulerConfig,
 };
 pub use stats::{OpCounts, StatsCollector};
-pub use trace::{Trace, TraceEvent, TraceRecorder};
+pub use trace::{Trace, TraceEvent};

@@ -19,6 +19,7 @@ use crate::op::{BarrierId, CondId, LockId, Op, SemId, ThreadId};
 use crate::program::{Program, StartMode};
 use crate::rng::Prng;
 use crate::runqueue::RunQueue;
+use crate::trace::TraceEvent;
 use std::collections::HashMap;
 
 /// Configuration of the interleaving scheduler.
@@ -75,51 +76,16 @@ pub enum PickStrategy {
     RunQueue,
 }
 
-/// An observation delivered to an [`ExecutionListener`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Event<'a> {
-    /// A thread became runnable. `parent` is `None` only for the main
-    /// thread; for every other thread it names the forker (or the main
-    /// thread, under [`StartMode::AllStart`]).
-    ThreadStarted {
-        /// The thread that started.
-        tid: ThreadId,
-        /// The thread that created it, if any.
-        parent: Option<ThreadId>,
-    },
-    /// A thread executed an operation. For blocking operations this is
-    /// delivered when the operation *completes* (e.g. the lock is actually
-    /// acquired), except barrier arrivals which are delivered on arrival.
-    Op {
-        /// The executing thread.
-        tid: ThreadId,
-        /// The operation.
-        op: Op,
-    },
-    /// All participants arrived at a barrier and it released.
-    BarrierReleased {
-        /// The barrier that released.
-        barrier: BarrierId,
-        /// Every participant of this episode, in arrival order.
-        participants: &'a [ThreadId],
-    },
-    /// A thread executed its last operation.
-    ThreadFinished {
-        /// The finished thread.
-        tid: ThreadId,
-    },
-}
-
 /// Receives the global event stream of a scheduled execution.
 ///
-/// Implemented for closures: any `FnMut(Event<'_>)` is a listener.
+/// Implemented for closures: any `FnMut(&TraceEvent)` is a listener.
 pub trait ExecutionListener {
     /// Called for every event, in global execution order.
-    fn on_event(&mut self, event: Event<'_>);
+    fn on_event(&mut self, event: &TraceEvent);
 }
 
-impl<F: FnMut(Event<'_>)> ExecutionListener for F {
-    fn on_event(&mut self, event: Event<'_>) {
+impl<F: FnMut(&TraceEvent)> ExecutionListener for F {
+    fn on_event(&mut self, event: &TraceEvent) {
         self(event)
     }
 }
@@ -130,7 +96,7 @@ impl<F: FnMut(Event<'_>)> ExecutionListener for F {
 pub struct NullListener;
 
 impl ExecutionListener for NullListener {
-    fn on_event(&mut self, _event: Event<'_>) {}
+    fn on_event(&mut self, _event: &TraceEvent) {}
 }
 
 /// Summary statistics of one scheduled execution.
@@ -280,7 +246,7 @@ struct CondState {
 /// # Examples
 ///
 /// ```
-/// use ddrace_program::{Program, ProgramBuilder, Scheduler, SchedulerConfig, ThreadId, Event};
+/// use ddrace_program::{Program, ProgramBuilder, Scheduler, SchedulerConfig, ThreadId, TraceEvent};
 ///
 /// let mut b = ProgramBuilder::new();
 /// let x = b.alloc_shared(8).base();
@@ -290,8 +256,8 @@ struct CondState {
 ///
 /// let mut ops = 0u32;
 /// let stats = Scheduler::new(b.build(), SchedulerConfig::default())
-///     .run(&mut |event: Event<'_>| {
-///         if matches!(event, Event::Op { .. }) { ops += 1; }
+///     .run(&mut |event: &TraceEvent| {
+///         if matches!(event, TraceEvent::Op { .. }) { ops += 1; }
 ///     })
 ///     .unwrap();
 /// assert_eq!(ops, 4); // fork, write, join, read
@@ -399,7 +365,7 @@ impl Scheduler {
 
     fn start_initial_threads<L: ExecutionListener + ?Sized>(&mut self, listener: &mut L) {
         self.set_runnable(ThreadId::MAIN);
-        listener.on_event(Event::ThreadStarted {
+        listener.on_event(&TraceEvent::ThreadStarted {
             tid: ThreadId::MAIN,
             parent: None,
         });
@@ -407,7 +373,7 @@ impl Scheduler {
             for i in 1..self.threads.len() {
                 let tid = ThreadId::new(i as u32);
                 self.set_runnable(tid);
-                listener.on_event(Event::ThreadStarted {
+                listener.on_event(&TraceEvent::ThreadStarted {
                     tid,
                     parent: Some(ThreadId::MAIN),
                 });
@@ -481,7 +447,7 @@ impl Scheduler {
         // were off-cpu (lock handoff, semaphore transfer, join target done).
         if let Some(op) = self.threads[tid.index()].pending_emit.take() {
             self.record_op(tid);
-            listener.on_event(Event::Op { tid, op });
+            listener.on_event(&TraceEvent::Op { tid, op });
             return Ok(StepOutcome::Executed);
         }
         let Some(op) = self.threads[tid.index()].stream.next_op() else {
@@ -509,7 +475,7 @@ impl Scheduler {
             | Op::RelaxedRmw { .. }
             | Op::Compute { .. } => {
                 self.record_op(tid);
-                listener.on_event(Event::Op { tid, op });
+                listener.on_event(&TraceEvent::Op { tid, op });
                 Ok(StepOutcome::Executed)
             }
             Op::Lock { lock } => self.do_lock(tid, lock, op, listener),
@@ -545,7 +511,7 @@ impl Scheduler {
                 state.holder = Some(tid);
                 self.threads[tid.index()].held_locks.push(lock);
                 self.record_op(tid);
-                listener.on_event(Event::Op { tid, op });
+                listener.on_event(&TraceEvent::Op { tid, op });
                 Ok(StepOutcome::Executed)
             }
             Some(holder) if holder == tid => Err(ScheduleError::RelockHeld { tid, lock }),
@@ -568,7 +534,7 @@ impl Scheduler {
             return Err(ScheduleError::UnlockNotHeld { tid, lock });
         }
         self.record_op(tid);
-        listener.on_event(Event::Op { tid, op });
+        listener.on_event(&TraceEvent::Op { tid, op });
         self.threads[tid.index()].held_locks.remove(lock);
         self.handoff_lock(lock);
         Ok(StepOutcome::Executed)
@@ -608,7 +574,7 @@ impl Scheduler {
         // The arrival is always visible: detectors treat it as the implicit
         // release of the guard lock.
         self.record_op(tid);
-        listener.on_event(Event::Op { tid, op });
+        listener.on_event(&TraceEvent::Op { tid, op });
         // Implicit unlock with the usual FIFO handoff (no Unlock event).
         self.threads[tid.index()].held_locks.remove(lock);
         self.handoff_lock(lock);
@@ -664,7 +630,7 @@ impl Scheduler {
         listener: &mut L,
     ) -> Result<StepOutcome, ScheduleError> {
         self.record_op(tid);
-        listener.on_event(Event::Op { tid, op });
+        listener.on_event(&TraceEvent::Op { tid, op });
         let cstate = self.conds.entry(cond).or_default();
         if cstate.waiters.is_empty() {
             // Bank the notify so it is never lost (generated programs stay
@@ -722,7 +688,7 @@ impl Scheduler {
         // The arrival itself is always visible (the detector accumulates
         // clocks as threads arrive).
         self.record_op(tid);
-        listener.on_event(Event::Op { tid, op });
+        listener.on_event(&TraceEvent::Op { tid, op });
         let state = self
             .barriers
             .get_mut(&barrier)
@@ -733,9 +699,9 @@ impl Scheduler {
             for &t in &released {
                 self.set_runnable(t);
             }
-            listener.on_event(Event::BarrierReleased {
+            listener.on_event(&TraceEvent::BarrierReleased {
                 barrier,
-                participants: &released,
+                participants: released,
             });
             Ok(StepOutcome::Executed)
         } else {
@@ -758,9 +724,9 @@ impl Scheduler {
             return Err(ScheduleError::ForkAlreadyStarted { tid, child });
         }
         self.record_op(tid);
-        listener.on_event(Event::Op { tid, op });
+        listener.on_event(&TraceEvent::Op { tid, op });
         self.set_runnable(child);
-        listener.on_event(Event::ThreadStarted {
+        listener.on_event(&TraceEvent::ThreadStarted {
             tid: child,
             parent: Some(tid),
         });
@@ -779,7 +745,7 @@ impl Scheduler {
         }
         if self.threads[child.index()].status == Status::Finished {
             self.record_op(tid);
-            listener.on_event(Event::Op { tid, op });
+            listener.on_event(&TraceEvent::Op { tid, op });
             Ok(StepOutcome::Executed)
         } else {
             self.join_waiters[child.index()].push(tid);
@@ -797,7 +763,7 @@ impl Scheduler {
         listener: &mut L,
     ) -> Result<StepOutcome, ScheduleError> {
         self.record_op(tid);
-        listener.on_event(Event::Op { tid, op });
+        listener.on_event(&TraceEvent::Op { tid, op });
         let state = self.sems.entry(sem).or_default();
         if let Some(waiter) = state.waiters.pop_front() {
             // Transfer the post directly to the longest waiter.
@@ -820,7 +786,7 @@ impl Scheduler {
         if state.count > 0 {
             state.count -= 1;
             self.record_op(tid);
-            listener.on_event(Event::Op { tid, op });
+            listener.on_event(&TraceEvent::Op { tid, op });
             Ok(StepOutcome::Executed)
         } else {
             state.waiters.push_back(tid);
@@ -842,7 +808,7 @@ impl Scheduler {
             });
         }
         self.set_finished(tid);
-        listener.on_event(Event::ThreadFinished { tid });
+        listener.on_event(&TraceEvent::ThreadFinished { tid });
         for waiter in std::mem::take(&mut self.join_waiters[tid.index()]) {
             // The waiter's pending Join op is already stored; just wake it.
             self.set_runnable(waiter);
@@ -894,20 +860,20 @@ mod tests {
 
     fn collect_events(b: ProgramBuilder, config: SchedulerConfig) -> Vec<String> {
         let mut events = Vec::new();
-        run_program(b.build(), config, &mut |e: Event<'_>| {
+        run_program(b.build(), config, &mut |e: &TraceEvent| {
             events.push(match e {
-                Event::ThreadStarted { tid, parent } => match parent {
+                TraceEvent::ThreadStarted { tid, parent } => match parent {
                     Some(p) => format!("start {tid} by {p}"),
                     None => format!("start {tid}"),
                 },
-                Event::Op { tid, op } => format!("{tid}: {op}"),
-                Event::BarrierReleased {
+                TraceEvent::Op { tid, op } => format!("{tid}: {op}"),
+                TraceEvent::BarrierReleased {
                     barrier,
                     participants,
                 } => {
                     format!("released {barrier} x{}", participants.len())
                 }
-                Event::ThreadFinished { tid } => format!("finish {tid}"),
+                TraceEvent::ThreadFinished { tid } => format!("finish {tid}"),
             });
         })
         .unwrap();
@@ -1221,9 +1187,9 @@ mod tests {
         };
         let run = |program| {
             let mut trace = Vec::new();
-            run_program(program, cfg, &mut |e: Event<'_>| {
-                if let Event::Op { tid, op } = e {
-                    trace.push((tid, op));
+            run_program(program, cfg, &mut |e: &TraceEvent| {
+                if let TraceEvent::Op { tid, op } = e {
+                    trace.push((*tid, *op));
                 }
             })
             .unwrap();
@@ -1254,9 +1220,9 @@ mod tests {
                 jitter: true,
             };
             let mut trace = Vec::new();
-            run_program(build(), cfg, &mut |e: Event<'_>| {
-                if let Event::Op { tid, .. } = e {
-                    trace.push(tid);
+            run_program(build(), cfg, &mut |e: &TraceEvent| {
+                if let TraceEvent::Op { tid, .. } = e {
+                    trace.push(*tid);
                 }
             })
             .unwrap();

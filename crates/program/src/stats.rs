@@ -5,7 +5,8 @@
 //! inner listener, so statistics can be layered on any consumer for free.
 
 use crate::op::Op;
-use crate::schedule::{Event, ExecutionListener};
+use crate::schedule::ExecutionListener;
+use crate::trace::TraceEvent;
 
 /// Tally of executed operations by kind.
 ///
@@ -174,8 +175,8 @@ impl<L: ExecutionListener> StatsCollector<L> {
 }
 
 impl<L: ExecutionListener> ExecutionListener for StatsCollector<L> {
-    fn on_event(&mut self, event: Event<'_>) {
-        if let Event::Op { ref op, .. } = event {
+    fn on_event(&mut self, event: &TraceEvent) {
+        if let TraceEvent::Op { op, .. } = event {
             self.counts.record(op);
         }
         self.inner.on_event(event);

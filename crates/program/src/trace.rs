@@ -1,4 +1,9 @@
-//! In-memory execution traces.
+//! The scheduler's event stream and in-memory execution traces.
+//!
+//! [`TraceEvent`] is the one event type of the system: the scheduler
+//! hands each one to its [`ExecutionListener`](crate::ExecutionListener)
+//! by reference, the DDRT codec in `ddrace-trace` encodes and decodes it,
+//! and replay feeds it back to the simulator and detectors unchanged.
 //!
 //! A [`Trace`] is the schedule-resolved event stream of one execution:
 //! what the scheduler emitted, in order, with every blocking decision
@@ -6,59 +11,42 @@
 //! metamorphic oracles rewrite events in place. The serialized form of a
 //! trace is the `ddrace-trace` DDRT format, and a trace reaches the
 //! simulator only through `ddrace_harness::replay` over DDRT bytes.
-//!
-//! [`TraceRecorder`] is an [`ExecutionListener`] that captures while
-//! optionally forwarding to an inner listener.
 
 use crate::op::{BarrierId, Op, ThreadId};
-use crate::schedule::{Event, ExecutionListener};
 
-/// One recorded event (the owned analogue of [`Event`]).
+/// One execution event, in the global order the scheduler delivered it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// A thread became runnable.
+    /// A thread became runnable. `parent` is `None` only for the main
+    /// thread; for every other thread it names the forker (or the main
+    /// thread, under [`StartMode::AllStart`](crate::StartMode::AllStart)).
     ThreadStarted {
         /// The thread that started.
         tid: ThreadId,
-        /// Its creator, if any.
+        /// The thread that created it, if any.
         parent: Option<ThreadId>,
     },
-    /// A thread executed an operation.
+    /// A thread executed an operation. For blocking operations this is
+    /// delivered when the operation *completes* (e.g. the lock is actually
+    /// acquired), except barrier arrivals which are delivered on arrival.
     Op {
         /// The executing thread.
         tid: ThreadId,
         /// The operation.
         op: Op,
     },
-    /// A barrier released its participants.
+    /// All participants arrived at a barrier and it released.
     BarrierReleased {
-        /// The barrier.
+        /// The barrier that released.
         barrier: BarrierId,
-        /// Participants, in arrival order.
+        /// Every participant of this episode, in arrival order.
         participants: Vec<ThreadId>,
     },
-    /// A thread finished.
+    /// A thread executed its last operation.
     ThreadFinished {
         /// The finished thread.
         tid: ThreadId,
     },
-}
-
-impl TraceEvent {
-    fn from_event(event: &Event<'_>) -> Self {
-        match *event {
-            Event::ThreadStarted { tid, parent } => TraceEvent::ThreadStarted { tid, parent },
-            Event::Op { tid, op } => TraceEvent::Op { tid, op },
-            Event::BarrierReleased {
-                barrier,
-                participants,
-            } => TraceEvent::BarrierReleased {
-                barrier,
-                participants: participants.to_vec(),
-            },
-            Event::ThreadFinished { tid } => TraceEvent::ThreadFinished { tid },
-        }
-    }
 }
 
 /// A complete recorded execution.
@@ -92,9 +80,10 @@ impl Trace {
         program: crate::program::Program,
         config: crate::schedule::SchedulerConfig,
     ) -> Result<Trace, crate::error::ScheduleError> {
-        let mut recorder = TraceRecorder::new(crate::schedule::NullListener);
-        crate::schedule::Scheduler::new(program, config).run(&mut recorder)?;
-        Ok(recorder.into_trace().0)
+        let mut events = Vec::new();
+        crate::schedule::Scheduler::new(program, config)
+            .run(&mut |event: &TraceEvent| events.push(event.clone()))?;
+        Ok(Trace { events })
     }
 
     /// The recorded events.
@@ -127,46 +116,11 @@ impl FromIterator<TraceEvent> for Trace {
     }
 }
 
-/// Listener adapter that records every event while forwarding to an inner
-/// listener.
-#[derive(Debug, Clone, Default)]
-pub struct TraceRecorder<L> {
-    inner: L,
-    trace: Trace,
-}
-
-impl<L: ExecutionListener> TraceRecorder<L> {
-    /// Wraps `inner`.
-    pub fn new(inner: L) -> Self {
-        TraceRecorder {
-            inner,
-            trace: Trace::default(),
-        }
-    }
-
-    /// The trace recorded so far.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Consumes the recorder, returning the trace and the inner listener.
-    pub fn into_trace(self) -> (Trace, L) {
-        (self.trace, self.inner)
-    }
-}
-
-impl<L: ExecutionListener> ExecutionListener for TraceRecorder<L> {
-    fn on_event(&mut self, event: Event<'_>) {
-        self.trace.events.push(TraceEvent::from_event(&event));
-        self.inner.on_event(event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
-    use crate::schedule::{run_program, NullListener, SchedulerConfig};
+    use crate::schedule::SchedulerConfig;
 
     fn sample_trace(seed: u64) -> Trace {
         let mut b = ProgramBuilder::new();
@@ -206,23 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn recorder_forwards_to_inner() {
-        let mut b = ProgramBuilder::new();
-        b.on(ThreadId::MAIN).compute(1).compute(2);
-        let mut seen = 0;
-        let mut recorder = TraceRecorder::new(|e: Event<'_>| {
-            if matches!(e, Event::Op { .. }) {
-                seen += 1;
-            }
-        });
-        run_program(b.build(), SchedulerConfig::default(), &mut recorder).unwrap();
-        let (trace, _) = recorder.into_trace();
-        assert_eq!(trace.op_count(), 2);
-        drop(trace);
-        assert_eq!(seen, 2);
-    }
-
-    #[test]
     fn record_surfaces_schedule_errors() {
         let mut b = ProgramBuilder::new();
         let l = b.new_lock();
@@ -240,15 +177,5 @@ mod tests {
         assert_eq!(a, a2);
         // (a and b may coincide for tiny programs; only assert determinism.)
         let _ = b;
-    }
-
-    #[test]
-    fn null_recorder_path() {
-        let mut recorder = TraceRecorder::new(NullListener);
-        recorder.on_event(Event::ThreadStarted {
-            tid: ThreadId(0),
-            parent: None,
-        });
-        assert_eq!(recorder.trace().thread_count(), 1);
     }
 }

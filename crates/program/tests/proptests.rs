@@ -1,8 +1,8 @@
 //! Property-based tests for the program model and scheduler.
 
 use ddrace_program::{
-    run_program, Addr, Event, LockId, Op, Program, ProgramBuilder, SchedulerConfig, StartMode,
-    ThreadId,
+    run_program, Addr, LockId, Op, Program, ProgramBuilder, SchedulerConfig, StartMode, ThreadId,
+    TraceEvent,
 };
 use proptest::prelude::*;
 
@@ -51,9 +51,9 @@ fn arb_program(max_threads: usize, ops_per_thread: usize) -> impl Strategy<Value
 fn trace_of(threads: Vec<Vec<Op>>, cfg: SchedulerConfig) -> Vec<(ThreadId, Op)> {
     let program = Program::from_thread_vecs(threads, StartMode::AllStart);
     let mut trace = Vec::new();
-    run_program(program, cfg, &mut |e: Event<'_>| {
-        if let Event::Op { tid, op } = e {
-            trace.push((tid, op));
+    run_program(program, cfg, &mut |e: &TraceEvent| {
+        if let TraceEvent::Op { tid, op } = e {
+            trace.push((*tid, *op));
         }
     })
     .expect("balanced program must run cleanly");
@@ -125,8 +125,8 @@ proptest! {
         let cfg = SchedulerConfig { quantum: 5, seed, jitter: true };
         let program = Program::from_thread_vecs(threads, StartMode::AllStart);
         let mut n = 0u64;
-        let stats = run_program(program, cfg, &mut |e: Event<'_>| {
-            if matches!(e, Event::Op { .. }) { n += 1; }
+        let stats = run_program(program, cfg, &mut |e: &TraceEvent| {
+            if matches!(e, TraceEvent::Op { .. }) { n += 1; }
         }).unwrap();
         prop_assert_eq!(stats.ops_executed, n);
         prop_assert_eq!(stats.per_thread_ops.iter().sum::<u64>(), n);

@@ -46,7 +46,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use ddrace_program::{Addr, BarrierId, CondId, Event, LockId, Op, SemId, ThreadId, TraceEvent};
+use ddrace_program::{Addr, BarrierId, CondId, LockId, Op, SemId, ThreadId, TraceEvent};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -113,23 +113,12 @@ pub enum TraceRecord {
     },
 }
 
-impl TraceRecord {
-    /// The per-thread stream this record is attributed to.
-    ///
-    /// Thread-owned events go to their thread's stream. Barrier releases
-    /// belong to the first arriver's stream (the release happens at that
-    /// thread's arrival episode); HITM samples to stream 0 (they are
-    /// machine-level metadata, and the main thread always exists).
-    fn stream(&self) -> u32 {
-        match self {
-            TraceRecord::Event(e) => event_stream(e),
-            TraceRecord::HitmSample { .. } => 0,
-        }
-    }
-}
-
-/// The per-thread stream an execution event is attributed to (see
-/// [`TraceRecord::stream`]).
+/// The per-thread stream an execution event is attributed to.
+///
+/// Thread-owned events go to their thread's stream. Barrier releases
+/// belong to the first arriver's stream (the release happens at that
+/// thread's arrival episode). HITM samples go to stream 0 (they are
+/// machine-level metadata, and the main thread always exists).
 fn event_stream(e: &TraceEvent) -> u32 {
     match e {
         TraceEvent::ThreadStarted { tid, .. }
@@ -148,7 +137,7 @@ fn event_stream(e: &TraceEvent) -> u32 {
 /// I/O error and surfaces it from [`TraceWriter::finish`].
 pub trait TraceSink {
     /// Records one execution event.
-    fn event(&mut self, event: &Event<'_>);
+    fn event(&mut self, event: &TraceEvent);
     /// Records one HITM indicator sample.
     fn hitm(&mut self, core: u32, addr: Addr);
 }
@@ -348,7 +337,10 @@ impl<W: Write> TraceWriter<W> {
     /// Appends one record. Infallible: I/O errors are stashed and
     /// surfaced by [`TraceWriter::finish`].
     pub fn record(&mut self, record: &TraceRecord) {
-        self.record_raw(record.stream(), |buf| encode_record(buf, record));
+        match record {
+            TraceRecord::Event(event) => self.record_event(event),
+            TraceRecord::HitmSample { core, addr } => self.record_hitm(*core, *addr),
+        }
     }
 
     /// Appends one execution event, encoding straight from the borrow —
@@ -449,40 +441,12 @@ impl<W: Write> TraceWriter<W> {
 }
 
 impl<W: Write> TraceSink for TraceWriter<W> {
-    fn event(&mut self, event: &Event<'_>) {
-        // Encode straight from the borrowed event: the barrier-release
-        // participant slice is written in place, never collected.
-        match *event {
-            Event::ThreadStarted { tid, parent } => self.record_raw(tid.0, |buf| {
-                buf.push(OP_THREAD_STARTED);
-                push_varint(buf, parent.map_or(0, |p| u64::from(p.0) + 1));
-            }),
-            Event::Op { tid, ref op } => self.record_raw(tid.0, |buf| encode_op(buf, op)),
-            Event::BarrierReleased {
-                barrier,
-                participants,
-            } => self.record_raw(participants.first().map_or(0, |t| t.0), |buf| {
-                encode_barrier_released(buf, barrier, participants)
-            }),
-            Event::ThreadFinished { tid } => {
-                self.record_raw(tid.0, |buf| buf.push(OP_THREAD_FINISHED))
-            }
-        }
+    fn event(&mut self, event: &TraceEvent) {
+        self.record_event(event);
     }
 
     fn hitm(&mut self, core: u32, addr: Addr) {
         self.record_hitm(core, addr);
-    }
-}
-
-fn encode_record(buf: &mut Vec<u8>, record: &TraceRecord) {
-    match record {
-        TraceRecord::Event(e) => encode_event(buf, e),
-        TraceRecord::HitmSample { core, addr } => {
-            buf.push(OP_HITM_SAMPLE);
-            push_varint(buf, u64::from(*core));
-            push_varint(buf, addr.0);
-        }
     }
 }
 
@@ -497,7 +461,14 @@ fn encode_event(buf: &mut Vec<u8>, e: &TraceEvent) {
         TraceEvent::BarrierReleased {
             barrier,
             participants,
-        } => encode_barrier_released(buf, *barrier, participants),
+        } => {
+            buf.push(OP_BARRIER_RELEASED);
+            push_varint(buf, u64::from(barrier.0));
+            push_varint(buf, participants.len() as u64);
+            for t in participants {
+                push_varint(buf, u64::from(t.0));
+            }
+        }
     }
 }
 
@@ -592,15 +563,6 @@ fn encode_op(buf: &mut Vec<u8>, op: &Op) {
     }
 }
 
-fn encode_barrier_released(buf: &mut Vec<u8>, barrier: BarrierId, participants: &[ThreadId]) {
-    buf.push(OP_BARRIER_RELEASED);
-    push_varint(buf, u64::from(barrier.0));
-    push_varint(buf, participants.len() as u64);
-    for t in participants {
-        push_varint(buf, u64::from(t.0));
-    }
-}
-
 // ---------------------------------------------------------------------------
 // reader
 // ---------------------------------------------------------------------------
@@ -626,6 +588,37 @@ impl<R: Read> CountingReader<R> {
                     offset: start,
                     context,
                 })
+            }
+            Err(e) => Err(TraceError::Io {
+                offset: start,
+                source: e,
+            }),
+        }
+    }
+
+    /// Reads the `len` bytes a length field declared into `buf`. They go
+    /// through `Read::take`, so `buf` grows only as bytes arrive: a
+    /// declared length costs no more memory than the input really holds,
+    /// and a short read is `Truncated` at the field's first byte.
+    fn read_declared(
+        &mut self,
+        len: u64,
+        buf: &mut Vec<u8>,
+        context: &'static str,
+    ) -> Result<(), TraceError> {
+        let start = self.offset;
+        buf.clear();
+        match (&mut self.inner).take(len).read_to_end(buf) {
+            Ok(n) => {
+                self.offset += n as u64;
+                if n as u64 == len {
+                    Ok(())
+                } else {
+                    Err(TraceError::Truncated {
+                        offset: start,
+                        context,
+                    })
+                }
             }
             Err(e) => Err(TraceError::Io {
                 offset: start,
@@ -721,12 +714,11 @@ struct Frame {
     last: usize,
 }
 
-/// Streaming trace reader: validates the header eagerly, then yields
-/// records in the recorded global order, holding one frame at a time.
-///
-/// Iteration yields `Result<TraceRecord, TraceError>`; after the first
-/// error the iterator fuses to `None`. The end marker's record count is
-/// validated, so silent truncation at a frame boundary is also caught.
+/// Streaming trace reader: validates the header eagerly, then
+/// [`TraceReader::for_each_record`] hands out the records in recorded
+/// global order, holding one frame at a time. The end marker's record
+/// count is validated, so silent truncation at a frame boundary is also
+/// caught.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     input: CountingReader<R>,
@@ -734,14 +726,12 @@ pub struct TraceReader<R: Read> {
     version: u16,
     frame: Option<Frame>,
     records_seen: u64,
-    done: bool,
     /// Drained-frame payload buffers, reused by later frames so steady-state
     /// decoding allocates nothing per frame.
     payload_pool: Vec<Vec<u8>>,
     /// Scratch for a frame's raw merge-order bytes, reused across frames.
     merge_scratch: Vec<u8>,
-    /// Recycled barrier-release participant vectors (see
-    /// [`TraceReader::recycle`]).
+    /// Barrier-release participant vectors handed back after delivery.
     tid_pool: Vec<Vec<ThreadId>>,
 }
 
@@ -778,7 +768,6 @@ impl<R: Read> TraceReader<R> {
             version,
             frame: None,
             records_seen: 0,
-            done: false,
             payload_pool: Vec::new(),
             merge_scratch: Vec::new(),
             tid_pool: Vec::new(),
@@ -791,26 +780,6 @@ impl<R: Read> TraceReader<R> {
         self.version
     }
 
-    /// Bytes consumed from the underlying reader so far.
-    pub fn offset(&self) -> u64 {
-        self.input.offset
-    }
-
-    /// Returns a consumed record's heap allocation (the barrier-release
-    /// participant vector) to the reader's pool, so a streaming consumer
-    /// that hands every record back decodes with zero steady-state
-    /// allocations. Purely an optimization: dropping records instead is
-    /// always correct.
-    pub fn recycle(&mut self, record: TraceRecord) {
-        if let TraceRecord::Event(TraceEvent::BarrierReleased {
-            mut participants, ..
-        }) = record
-        {
-            participants.clear();
-            self.tid_pool.push(participants);
-        }
-    }
-
     fn read_frame(&mut self) -> Result<Frame, TraceError> {
         let stream_count = self.input.read_varint("a frame's stream count")?;
         let mut order = Vec::new();
@@ -821,20 +790,18 @@ impl<R: Read> TraceReader<R> {
                 offset: self.input.offset,
                 detail: format!("stream thread id {tid} exceeds u32"),
             })?;
-            order.push((tid, len as usize));
+            order.push((tid, len));
         }
-        let merge_len = self.input.read_varint("a frame's merge-order length")? as usize;
-        self.merge_scratch.clear();
-        self.merge_scratch.resize(merge_len, 0);
+        let merge_len = self.input.read_varint("a frame's merge-order length")?;
         let merge_base = self.input.offset;
         self.input
-            .read_exact_or(&mut self.merge_scratch, "a frame's merge order")?;
+            .read_declared(merge_len, &mut self.merge_scratch, "a frame's merge order")?;
         let mut merge = VecDeque::new();
         let mut cursor = CountingReader {
             inner: self.merge_scratch.as_slice(),
             offset: 0,
         };
-        while (cursor.offset as usize) < merge_len {
+        while cursor.offset < merge_len {
             let tid = cursor
                 .read_varint("a merge-order run")
                 .map_err(|e| rebase(e, merge_base))?;
@@ -857,10 +824,8 @@ impl<R: Read> TraceReader<R> {
         for (tid, len) in order {
             let base = self.input.offset;
             let mut payload = self.payload_pool.pop().unwrap_or_default();
-            payload.clear();
-            payload.resize(len, 0);
             self.input
-                .read_exact_or(&mut payload, "a frame's stream payload")?;
+                .read_declared(len, &mut payload, "a frame's stream payload")?;
             if streams.iter().any(|(t, ..)| *t == tid) {
                 return Err(TraceError::Corrupt {
                     offset: base,
@@ -961,60 +926,20 @@ impl<R: Read> TraceReader<R> {
         }
     }
 
-    fn next_record(&mut self) -> Result<Option<TraceRecord>, TraceError> {
-        loop {
-            if let Some(frame) = self.frame.as_mut() {
-                if let Some(&(tid, _)) = frame.merge.front() {
-                    let at = self.input.offset;
-                    let idx = Self::resolve_stream(frame, tid, at)?;
-                    let version = self.version;
-                    let (_, payload, cursor, base) = &mut frame.streams[idx];
-                    let record =
-                        decode_record(payload, cursor, *base, tid, version, &mut self.tid_pool)?;
-                    let (_, run) = frame.merge.front_mut().expect("run still queued");
-                    *run -= 1;
-                    if *run == 0 {
-                        frame.merge.pop_front();
-                    }
-                    self.records_seen += 1;
-                    return Ok(Some(record));
-                }
-            }
-            if !self.advance_section()? {
-                return Ok(None);
-            }
-        }
-    }
-
-    /// Drains the whole trace, invoking `on_event` for every execution
-    /// event in recorded global order and counting HITM samples.
-    ///
-    /// Semantically identical to iterating the reader, but this is the
-    /// ingest hot path: each merge-order run resolves its stream once and
-    /// decodes in a tight loop, events are handed to the callback by
-    /// reference, and barrier-release participant vectors are recycled
-    /// in place, so steady-state decoding allocates nothing per record.
+    /// Drains the trace, handing every record to `on_record` in recorded
+    /// global order. This is the reader's one record loop: each
+    /// merge-order run resolves its stream once and decodes in a tight
+    /// loop, records are handed out by reference, and barrier-release
+    /// participant vectors are recycled in place, so steady-state
+    /// decoding allocates nothing per record.
     ///
     /// # Errors
     ///
-    /// Propagates any [`TraceError`]; the reader is fused afterwards.
-    pub fn drain_events<F: FnMut(&TraceEvent)>(
-        &mut self,
-        mut on_event: F,
-    ) -> Result<DecodeSummary, TraceError> {
-        let mut summary = DecodeSummary::default();
-        if self.done {
-            return Ok(summary);
-        }
-        let res = self.drain_events_inner(&mut summary, &mut on_event);
-        self.done = true;
-        res.map(|()| summary)
-    }
-
-    fn drain_events_inner<F: FnMut(&TraceEvent)>(
-        &mut self,
-        summary: &mut DecodeSummary,
-        on_event: &mut F,
+    /// Stops at the first [`TraceError`]; the records before it have
+    /// already been delivered.
+    pub fn for_each_record<F: FnMut(&TraceRecord)>(
+        mut self,
+        mut on_record: F,
     ) -> Result<(), TraceError> {
         loop {
             let has_run = self.frame.as_ref().is_some_and(|f| !f.merge.is_empty());
@@ -1032,9 +957,8 @@ impl<R: Read> TraceReader<R> {
             let (_, payload, cursor, base) = &mut frame.streams[idx];
             for _ in 0..run {
                 // Data accesses dominate real traces; decode them without
-                // routing the full `TraceRecord` enum through the general
-                // path. Error construction is byte-for-byte the same as
-                // `decode_record`'s.
+                // going through the general `decode_record` match. Errors
+                // are built exactly as `decode_record` builds them.
                 if let Some(&op @ (OP_READ | OP_WRITE | OP_ATOMIC)) = payload.get(*cursor) {
                     *cursor += 1;
                     let (context, build): (_, fn(Addr) -> Op) = match op {
@@ -1044,26 +968,21 @@ impl<R: Read> TraceReader<R> {
                     };
                     let addr =
                         slice_varint(payload, cursor, context).map_err(|e| rebase(e, *base))?;
-                    summary.events += 1;
-                    on_event(&TraceEvent::Op {
+                    on_record(&TraceRecord::Event(TraceEvent::Op {
                         tid: ThreadId(tid),
                         op: build(Addr(addr)),
-                    });
+                    }));
                     continue;
                 }
-                match decode_record(payload, cursor, *base, tid, version, &mut self.tid_pool)? {
-                    TraceRecord::Event(event) => {
-                        summary.events += 1;
-                        on_event(&event);
-                        if let TraceEvent::BarrierReleased {
-                            mut participants, ..
-                        } = event
-                        {
-                            participants.clear();
-                            self.tid_pool.push(participants);
-                        }
-                    }
-                    TraceRecord::HitmSample { .. } => summary.hitm_samples += 1,
+                let record =
+                    decode_record(payload, cursor, *base, tid, version, &mut self.tid_pool)?;
+                on_record(&record);
+                if let TraceRecord::Event(TraceEvent::BarrierReleased {
+                    mut participants, ..
+                }) = record
+                {
+                    participants.clear();
+                    self.tid_pool.push(participants);
                 }
             }
             self.records_seen += run;
@@ -1086,27 +1005,6 @@ fn rebase(e: TraceError, base: u64) -> TraceError {
             source,
         },
         other => other,
-    }
-}
-
-impl<R: Read> Iterator for TraceReader<R> {
-    type Item = Result<TraceRecord, TraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        match self.next_record() {
-            Ok(Some(record)) => Some(Ok(record)),
-            Ok(None) => {
-                self.done = true;
-                None
-            }
-            Err(e) => {
-                self.done = true;
-                Some(Err(e))
-            }
-        }
     }
 }
 
@@ -1401,28 +1299,6 @@ fn narrow(v: u64, offset: usize, what: &str) -> Result<u32, TraceError> {
 // convenience
 // ---------------------------------------------------------------------------
 
-/// Fully decodes a trace into memory: the execution events in recorded
-/// order plus the count of HITM samples interleaved among them. The
-/// convenience path for consumers that want a
-/// [`Trace`](ddrace_program::Trace)-shaped value; streaming consumers
-/// should iterate [`TraceReader`] directly.
-///
-/// # Errors
-///
-/// Propagates any [`TraceError`] from the reader.
-pub fn decode_events<R: Read>(input: R) -> Result<(Vec<TraceEvent>, u64), TraceError> {
-    let reader = TraceReader::new(input)?;
-    let mut events = Vec::new();
-    let mut hitm = 0u64;
-    for record in reader {
-        match record? {
-            TraceRecord::Event(e) => events.push(e),
-            TraceRecord::HitmSample { .. } => hitm += 1,
-        }
-    }
-    Ok((events, hitm))
-}
-
 /// Totals reported by [`decode_events_into`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DecodeSummary {
@@ -1434,241 +1310,41 @@ pub struct DecodeSummary {
 
 /// Streams a trace's execution events through `on_event` in recorded
 /// global order without materializing a `Vec<TraceEvent>`: peak memory is
-/// one frame, and frame payloads plus barrier-release participant vectors
-/// are recycled, so steady-state decoding allocates nothing per record.
-/// HITM samples are counted and skipped, as in [`decode_events`].
+/// one frame, and steady-state decoding allocates nothing per record (see
+/// [`TraceReader::for_each_record`]). HITM samples are counted and
+/// skipped.
 ///
 /// # Errors
 ///
 /// Propagates any [`TraceError`] from the reader.
 pub fn decode_events_into<R: Read, F: FnMut(&TraceEvent)>(
     input: R,
-    on_event: F,
-) -> Result<DecodeSummary, TraceError> {
-    TraceReader::new(input)?.drain_events(on_event)
-}
-
-// ---------------------------------------------------------------------------
-// frame-parallel decode
-// ---------------------------------------------------------------------------
-
-/// One stream payload in flight to or back from a decode worker. The
-/// `payload`, `records`, and `starts` buffers circulate between the
-/// coordinator and the workers so steady-state decoding reuses
-/// allocations across frames.
-struct StreamTask {
-    /// Index into the frame's stream table (delivery order key).
-    slot: usize,
-    tid: u32,
-    /// Declared format version of the trace the payload came from.
-    version: u16,
-    /// File offset of the payload's first byte.
-    base: u64,
-    payload: Vec<u8>,
-    /// Decoded records, in stream order.
-    records: Vec<TraceRecord>,
-    /// Byte offset of each record within `payload`, parallel to
-    /// `records`; lets coverage errors point at the exact byte.
-    starts: Vec<u32>,
-}
-
-/// Decodes every record in one stream payload. Runs on a decode worker;
-/// errors already carry absolute file offsets.
-fn decode_stream_task(task: &mut StreamTask) -> Result<(), TraceError> {
-    let mut cursor = 0usize;
-    let mut tid_pool = Vec::new();
-    while cursor < task.payload.len() {
-        task.starts.push(cursor as u32);
-        let record = decode_record(
-            &task.payload,
-            &mut cursor,
-            task.base,
-            task.tid,
-            task.version,
-            &mut tid_pool,
-        )?;
-        task.records.push(record);
-    }
-    Ok(())
-}
-
-/// Like [`decode_events_into`], but the per-record varint decoding — the
-/// serial bottleneck of offline ingest — is fanned out across
-/// `decode_workers` threads. A DDRT frame stores one payload blob per
-/// recording thread, so each blob decodes independently; the coordinator
-/// then walks the frame's merge order over the pre-decoded streams and
-/// delivers events in exactly the recorded global order. The callback
-/// sees the same events, in the same order, as the serial path — byte
-/// identity downstream is preserved by construction.
-///
-/// `decode_workers <= 1` falls back to the serial path. Corrupt traces
-/// are still refused, though when a frame holds several malformed
-/// streams the error reported is the lowest-offset one rather than the
-/// first one the merge order would have touched.
-///
-/// # Errors
-///
-/// Propagates any [`TraceError`] from the reader or the decode workers.
-pub fn decode_events_into_parallel<R: Read, F: FnMut(&TraceEvent)>(
-    input: R,
-    decode_workers: usize,
     mut on_event: F,
 ) -> Result<DecodeSummary, TraceError> {
-    if decode_workers <= 1 {
-        return decode_events_into(input, on_event);
-    }
-    let mut reader = TraceReader::new(input)?;
     let mut summary = DecodeSummary::default();
-
-    std::thread::scope(|scope| -> Result<(), TraceError> {
-        let (task_tx, task_rx) = std::sync::mpsc::channel::<StreamTask>();
-        let task_rx = std::sync::Arc::new(std::sync::Mutex::new(task_rx));
-        let (done_tx, done_rx) = std::sync::mpsc::channel::<Result<StreamTask, TraceError>>();
-        for _ in 0..decode_workers {
-            let task_rx = std::sync::Arc::clone(&task_rx);
-            let done_tx = done_tx.clone();
-            scope.spawn(move || loop {
-                let task = { task_rx.lock().expect("decode queue poisoned").recv() };
-                let Ok(mut task) = task else { break };
-                let res = decode_stream_task(&mut task);
-                if done_tx.send(res.map(|()| task)).is_err() {
-                    break;
-                }
-            });
+    TraceReader::new(input)?.for_each_record(|record| match record {
+        TraceRecord::Event(event) => {
+            summary.events += 1;
+            on_event(event);
         }
-        drop(done_tx);
-
-        // Task buffers recycled across frames.
-        let mut spare: Vec<StreamTask> = Vec::new();
-        // Streams of the frame being delivered, indexed by slot.
-        let mut streams: Vec<Option<StreamTask>> = Vec::new();
-        loop {
-            if !reader.advance_section()? {
-                return Ok(());
-            }
-            let frame = reader.frame.take().expect("advance_section loaded a frame");
-            // Fan the frame's payloads out to the decode workers.
-            let stream_count = frame.streams.len();
-            for (slot, (tid, payload, _, base)) in frame.streams.into_iter().enumerate() {
-                let mut task = spare.pop().unwrap_or(StreamTask {
-                    slot: 0,
-                    tid: 0,
-                    version: FORMAT_VERSION,
-                    base: 0,
-                    payload: Vec::new(),
-                    records: Vec::new(),
-                    starts: Vec::new(),
-                });
-                // The frame's payload buffer replaces the task's spare
-                // one; the spare returns to the reader's pool.
-                let retired = std::mem::replace(&mut task.payload, payload);
-                reader.payload_pool.push(retired);
-                task.slot = slot;
-                task.tid = tid;
-                task.version = reader.version;
-                task.base = base;
-                task.records.clear();
-                task.starts.clear();
-                task_tx.send(task).expect("decode workers alive");
-            }
-            streams.clear();
-            streams.resize_with(stream_count, || None);
-            let mut first_err: Option<TraceError> = None;
-            for _ in 0..stream_count {
-                match done_rx.recv().expect("decode workers alive") {
-                    Ok(task) => {
-                        let slot = task.slot;
-                        streams[slot] = Some(task);
-                    }
-                    Err(e) => {
-                        // Deterministic refusal independent of worker
-                        // scheduling: keep the lowest-offset error.
-                        let better = first_err
-                            .as_ref()
-                            .is_none_or(|prev| error_offset(&e) < error_offset(prev));
-                        if better {
-                            first_err = Some(e);
-                        }
-                    }
-                }
-            }
-            if let Some(e) = first_err {
-                return Err(e);
-            }
-            let mut streams: Vec<StreamTask> = streams
-                .iter_mut()
-                .map(|s| s.take().expect("every slot delivered"))
-                .collect();
-
-            // Deliver in recorded global order by walking the merge runs
-            // over the pre-decoded streams.
-            let mut cursors = vec![0usize; streams.len()];
-            let mut last = 0usize;
-            for (tid, run) in frame.merge {
-                let slot = match streams.get(last) {
-                    Some(s) if s.tid == tid => last,
-                    _ => streams
-                        .iter()
-                        .position(|s| s.tid == tid)
-                        .ok_or(TraceError::Corrupt {
-                            offset: reader.input.offset,
-                            detail: format!(
-                                "merge order references thread {tid} absent from the frame"
-                            ),
-                        })?,
-                };
-                last = slot;
-                let s = &streams[slot];
-                let cursor = &mut cursors[slot];
-                for _ in 0..run {
-                    let Some(record) = s.records.get(*cursor) else {
-                        return Err(TraceError::Corrupt {
-                            offset: s.base + s.payload.len() as u64,
-                            detail: format!(
-                                "thread {tid}'s stream ends mid-merge-order (missing record)"
-                            ),
-                        });
-                    };
-                    *cursor += 1;
-                    match record {
-                        TraceRecord::Event(e) => {
-                            summary.events += 1;
-                            on_event(e);
-                        }
-                        TraceRecord::HitmSample { .. } => summary.hitm_samples += 1,
-                    }
-                }
-                reader.records_seen += run;
-            }
-            // Frame drained: every stream must be fully consumed.
-            for (s, consumed) in streams.iter().zip(&cursors) {
-                if *consumed != s.records.len() {
-                    let at = s.starts[*consumed] as u64;
-                    return Err(TraceError::Corrupt {
-                        offset: s.base + at,
-                        detail: format!(
-                            "thread {}'s stream has {} bytes not covered by the merge order",
-                            s.tid,
-                            s.payload.len() as u64 - at
-                        ),
-                    });
-                }
-            }
-            spare.append(&mut streams);
-        }
+        TraceRecord::HitmSample { .. } => summary.hitm_samples += 1,
     })?;
     Ok(summary)
 }
 
-/// The byte offset a [`TraceError`] points at, for deterministic
-/// worst-error selection; variants without one sort first.
-fn error_offset(e: &TraceError) -> u64 {
-    match e {
-        TraceError::Truncated { offset, .. }
-        | TraceError::Corrupt { offset, .. }
-        | TraceError::Io { offset, .. } => *offset,
-        _ => 0,
-    }
+/// [`decode_events_into`] under the name of the retired frame-parallel
+/// decoder; `decode_workers` is ignored. Kept only for the end-to-end
+/// benchmark (`bench_e2e/`), which names it.
+///
+/// # Errors
+///
+/// Propagates any [`TraceError`] from the reader.
+pub fn decode_events_into_parallel<R: Read, F: FnMut(&TraceEvent)>(
+    input: R,
+    _decode_workers: usize,
+    on_event: F,
+) -> Result<DecodeSummary, TraceError> {
+    decode_events_into(input, on_event)
 }
 
 #[cfg(test)]
@@ -1683,6 +1359,13 @@ mod tests {
         }
         w.finish().unwrap();
         out
+    }
+
+    /// Every record of `bytes`, collected through the reader's one loop.
+    fn decode(bytes: &[u8]) -> Result<Vec<TraceRecord>, TraceError> {
+        let mut records = Vec::new();
+        TraceReader::new(bytes)?.for_each_record(|r| records.push(r.clone()))?;
+        Ok(records)
     }
 
     fn sample_records() -> Vec<TraceRecord> {
@@ -1735,11 +1418,7 @@ mod tests {
     fn roundtrips_in_global_order() {
         let records = sample_records();
         let bytes = ev(&records);
-        let back: Vec<TraceRecord> = TraceReader::new(bytes.as_slice())
-            .unwrap()
-            .map(|r| r.unwrap())
-            .collect();
-        assert_eq!(back, records);
+        assert_eq!(decode(&bytes).unwrap(), records);
     }
 
     #[test]
@@ -1753,19 +1432,14 @@ mod tests {
         }
         assert_eq!(w.records_written(), records.len() as u64);
         w.finish().unwrap();
-        let back: Vec<TraceRecord> = TraceReader::new(out.as_slice())
-            .unwrap()
-            .map(|r| r.unwrap())
-            .collect();
-        assert_eq!(back, records);
+        assert_eq!(decode(&out).unwrap(), records);
     }
 
     #[test]
     fn empty_trace_roundtrips() {
         let bytes = ev(&[]);
         assert_eq!(bytes.len(), 8 + 2); // header + end marker
-        let mut r = TraceReader::new(bytes.as_slice()).unwrap();
-        assert!(r.next().is_none());
+        assert!(decode(&bytes).unwrap().is_empty());
     }
 
     #[test]
@@ -1804,12 +1478,7 @@ mod tests {
     fn rejects_every_truncation_point() {
         let full = ev(&sample_records());
         for len in 0..full.len() {
-            let cut = &full[..len];
-            let outcome: Result<Vec<TraceRecord>, TraceError> = match TraceReader::new(cut) {
-                Ok(reader) => reader.collect(),
-                Err(e) => Err(e),
-            };
-            let err = outcome.expect_err("truncation must be detected");
+            let err = decode(&full[..len]).expect_err("truncation must be detected");
             match err {
                 TraceError::Truncated { offset, .. } => {
                     assert!(offset <= len as u64, "offset {offset} beyond cut {len}")
@@ -1823,11 +1492,7 @@ mod tests {
     #[test]
     fn truncated_error_names_an_offset() {
         let full = ev(&sample_records());
-        let cut = &full[..full.len() - 3];
-        let err: TraceError = TraceReader::new(cut)
-            .unwrap()
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap_err();
+        let err = decode(&full[..full.len() - 3]).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("byte offset"), "{msg}");
         assert!(msg.contains("truncated"), "{msg}");
@@ -1839,10 +1504,7 @@ mod tests {
         let mut bytes = ev(&sample_records());
         let last = bytes.len() - 1;
         bytes[last] = bytes[last].wrapping_add(1); // end-marker count varint
-        let err: TraceError = TraceReader::new(bytes.as_slice())
-            .unwrap()
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap_err();
+        let err = decode(&bytes).unwrap_err();
         assert!(matches!(err, TraceError::Corrupt { .. }), "{err:?}");
         assert!(err.to_string().contains("end marker declares"));
     }
@@ -1851,10 +1513,7 @@ mod tests {
     fn rejects_trailing_bytes() {
         let mut bytes = ev(&sample_records());
         bytes.push(0x7a);
-        let err: TraceError = TraceReader::new(bytes.as_slice())
-            .unwrap()
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap_err();
+        let err = decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("trailing bytes"), "{err}");
     }
 
@@ -1873,10 +1532,7 @@ mod tests {
         let pos = bytes.len() - 4; // opcode + varint(0) + end tag + count
         assert_eq!(bytes[pos], OP_THREAD_STARTED);
         bytes[pos] = 0x3f;
-        let err: TraceError = TraceReader::new(bytes.as_slice())
-            .unwrap()
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap_err();
+        let err = decode(&bytes).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("unknown record opcode 0x3f"), "{msg}");
         assert!(msg.contains("byte offset"), "{msg}");
@@ -1903,103 +1559,6 @@ mod tests {
         assert!(w.finish().is_err());
     }
 
-    /// A multi-thread record mix big enough to span several frames at
-    /// small flush thresholds: interleaved accesses, sync ops, barrier
-    /// releases, and HITM samples across four threads.
-    fn busy_records(n: u64) -> Vec<TraceRecord> {
-        use TraceEvent as E;
-        let mut out = vec![TraceRecord::Event(E::ThreadStarted {
-            tid: ThreadId(0),
-            parent: None,
-        })];
-        for t in 1..4u32 {
-            out.push(TraceRecord::Event(E::ThreadStarted {
-                tid: ThreadId(t),
-                parent: Some(ThreadId(0)),
-            }));
-        }
-        for i in 0..n {
-            let t = ThreadId((i % 4) as u32);
-            let addr = Addr(0x1000 + (i * 37) % 4096);
-            let op = match i % 7 {
-                0 => Op::Write { addr },
-                1 | 2 => Op::Read { addr },
-                3 => Op::Lock { lock: LockId(1) },
-                4 => Op::Unlock { lock: LockId(1) },
-                5 => Op::Compute { cycles: 17 },
-                _ => Op::AtomicRmw { addr },
-            };
-            out.push(TraceRecord::Event(E::Op { tid: t, op }));
-            if i % 61 == 0 {
-                out.push(TraceRecord::HitmSample {
-                    core: (i % 4) as u32,
-                    addr,
-                });
-            }
-            if i % 97 == 0 {
-                out.push(TraceRecord::Event(E::BarrierReleased {
-                    barrier: BarrierId(2),
-                    participants: vec![ThreadId(0), ThreadId(1), ThreadId(2), ThreadId(3)],
-                }));
-            }
-        }
-        for t in (0..4u32).rev() {
-            out.push(TraceRecord::Event(E::ThreadFinished { tid: ThreadId(t) }));
-        }
-        out
-    }
-
-    #[test]
-    fn parallel_decode_matches_serial_decode() {
-        let records = busy_records(3_000);
-        for threshold in [1usize, 64, 4096, DEFAULT_FLUSH_THRESHOLD] {
-            let mut out = Vec::new();
-            let mut w = TraceWriter::with_flush_threshold(&mut out, threshold).unwrap();
-            for r in &records {
-                w.record(r);
-            }
-            w.finish().unwrap();
-
-            let mut serial = Vec::new();
-            let serial_summary =
-                decode_events_into(out.as_slice(), |e| serial.push(e.clone())).unwrap();
-            for workers in [2usize, 4] {
-                let mut parallel = Vec::new();
-                let parallel_summary = decode_events_into_parallel(out.as_slice(), workers, |e| {
-                    parallel.push(e.clone())
-                })
-                .unwrap();
-                assert_eq!(parallel, serial, "threshold {threshold}, {workers} workers");
-                assert_eq!(parallel_summary, serial_summary);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_decode_refuses_corrupt_and_truncated_traces() {
-        let records = busy_records(500);
-        let mut out = Vec::new();
-        let mut w = TraceWriter::with_flush_threshold(&mut out, 256).unwrap();
-        for r in &records {
-            w.record(r);
-        }
-        w.finish().unwrap();
-
-        let mut cut = out.clone();
-        cut.truncate(cut.len() - 3);
-        let err = decode_events_into_parallel(cut.as_slice(), 4, |_| {}).unwrap_err();
-        assert!(err.to_string().contains("refusing to ingest"), "{err}");
-
-        let mut swapped = out.clone();
-        let mid = swapped.len() / 2;
-        swapped[mid] ^= 0x55;
-        let serial_ok = decode_events_into(swapped.as_slice(), |_| {}).is_ok();
-        let parallel_ok = decode_events_into_parallel(swapped.as_slice(), 4, |_| {}).is_ok();
-        // A single flipped bit may or may not strike a structural byte;
-        // parallel and serial must at least agree on acceptance.
-        assert_eq!(serial_ok, parallel_ok);
-    }
-
     #[test]
     fn varint_boundaries_roundtrip() {
         for v in [
@@ -2024,25 +1583,7 @@ mod tests {
     }
 
     #[test]
-    fn record_event_bytes_match_record() {
-        // The by-reference event path and the TraceRecord path must
-        // produce identical bytes (the on-disk format is pinned).
-        let records = sample_records();
-        let via_record = ev(&records);
-        let mut via_event = Vec::new();
-        let mut w = TraceWriter::new(&mut via_event).unwrap();
-        for r in &records {
-            match r {
-                TraceRecord::Event(e) => w.record_event(e),
-                TraceRecord::HitmSample { core, addr } => w.record_hitm(*core, *addr),
-            }
-        }
-        w.finish().unwrap();
-        assert_eq!(via_event, via_record);
-    }
-
-    #[test]
-    fn streaming_decode_matches_materializing_decode() {
+    fn decode_events_into_filters_events_from_the_record_loop() {
         let records = sample_records();
         let mut bytes = Vec::new();
         // Threshold 1 forces many frames, exercising buffer recycling.
@@ -2051,12 +1592,18 @@ mod tests {
             w.record(r);
         }
         w.finish().unwrap();
-        let (events, hitm) = decode_events(bytes.as_slice()).unwrap();
         let mut streamed = Vec::new();
         let summary = decode_events_into(bytes.as_slice(), |e| streamed.push(e.clone())).unwrap();
+        let events: Vec<TraceEvent> = records
+            .into_iter()
+            .filter_map(|r| match r {
+                TraceRecord::Event(e) => Some(e),
+                TraceRecord::HitmSample { .. } => None,
+            })
+            .collect();
         assert_eq!(streamed, events);
         assert_eq!(summary.events, events.len() as u64);
-        assert_eq!(summary.hitm_samples, hitm);
+        assert_eq!(summary.hitm_samples, 1);
     }
 
     #[test]
@@ -2068,11 +1615,27 @@ mod tests {
     }
 
     #[test]
-    fn hitm_samples_are_skipped_by_decode_events() {
-        let records = sample_records();
-        let bytes = ev(&records);
-        let (events, hitm) = decode_events(bytes.as_slice()).unwrap();
-        assert_eq!(hitm, 1);
-        assert_eq!(events.len(), records.len() - 1);
+    fn declared_lengths_past_the_input_are_truncations_not_allocations() {
+        // A varint of 2^40: five continuation bytes, then bit 5 of the
+        // sixth. Allocating what it declares would need a terabyte.
+        const TIB: [u8; 6] = [0x80, 0x80, 0x80, 0x80, 0x80, 0x20];
+        let header = &ev(&[])[..8];
+        // One frame: one stream (thread 0) of 2^40 bytes, empty merge order.
+        let stream = [header, &[TAG_FRAME, 1, 0], &TIB, &[0]].concat();
+        // One frame: no streams, a 2^40-byte merge order.
+        let merge = [header, &[TAG_FRAME, 0], &TIB].concat();
+        assert_eq!((stream.len(), merge.len()), (18, 16));
+        for (bytes, context) in [
+            (stream, "a frame's stream payload"),
+            (merge, "a frame's merge order"),
+        ] {
+            let err = decode_events_into(bytes.as_slice(), |_| {}).unwrap_err();
+            match err {
+                TraceError::Truncated { offset, context: c } => {
+                    assert_eq!((offset, c), (bytes.len() as u64, context))
+                }
+                other => panic!("expected a truncation, got {other:?}"),
+            }
+        }
     }
 }

@@ -109,7 +109,9 @@ fn encode(records: &[TraceRecord], threshold: usize) -> Vec<u8> {
 }
 
 fn decode(bytes: &[u8]) -> Result<Vec<TraceRecord>, TraceError> {
-    TraceReader::new(bytes)?.collect()
+    let mut records = Vec::new();
+    TraceReader::new(bytes)?.for_each_record(|r| records.push(r.clone()))?;
+    Ok(records)
 }
 
 #[test]
@@ -156,11 +158,9 @@ fn version_1_traces_still_decode() {
     let reader = TraceReader::new(bytes.as_slice()).unwrap();
     assert_eq!(reader.version(), 1);
     let mut events = 0u64;
-    for record in reader {
-        if matches!(record.unwrap(), TraceRecord::Event(_)) {
-            events += 1;
-        }
-    }
+    reader
+        .for_each_record(|record| events += u64::from(matches!(record, TraceRecord::Event(_))))
+        .unwrap();
     assert!(events > 100, "v1 fixture decoded only {events} events");
 }
 

@@ -127,10 +127,11 @@ fn encode(records: &[TraceRecord], threshold: usize) -> Vec<u8> {
 }
 
 fn decode(bytes: &[u8]) -> Result<Vec<TraceRecord>, String> {
+    let mut records = Vec::new();
     TraceReader::new(bytes)
-        .map_err(|e| e.to_string())?
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| e.to_string())
+        .and_then(|reader| reader.for_each_record(|r| records.push(r.clone())))
+        .map_err(|e| e.to_string())?;
+    Ok(records)
 }
 
 proptest! {

@@ -612,9 +612,9 @@ mod tests {
             run_program(
                 spec.program(Scale::TEST, seed),
                 SchedulerConfig::default(),
-                &mut |e: ddrace_program::Event<'_>| {
-                    if let ddrace_program::Event::Op { tid, op } = e {
-                        ops.push((tid, op));
+                &mut |e: &ddrace_program::TraceEvent| {
+                    if let ddrace_program::TraceEvent::Op { tid, op } = e {
+                        ops.push((*tid, *op));
                     }
                 },
             )

@@ -22,11 +22,11 @@
 //! ddrace fuzz    --replay FILE
 //! ```
 
-use ddrace::program::{Event, Scheduler};
+use ddrace::program::{Scheduler, TraceEvent};
 use ddrace::{
     replay, resume_campaign, run_campaign, AnalysisMode, CacheConfig, Campaign, ConfigPatch,
     DetectorKind, EventSink, JobVariant, ResumeLog, RunResult, Scale, SchedulerConfig, SimConfig,
-    Simulation, TraceSink, TraceSource, TraceWriter, WorkloadSpec,
+    Simulation, TraceSource, TraceWriter, WorkloadSpec,
 };
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -561,9 +561,9 @@ fn cmd_record(flags: &HashMap<String, String>) -> Result<(), String> {
     // held in memory.
     let mut threads = 0usize;
     let stats = Scheduler::new(common.spec.program(common.scale, common.seed), scheduler)
-        .run(&mut |event: Event<'_>| {
-            threads += usize::from(matches!(event, Event::ThreadStarted { .. }));
-            writer.event(&event);
+        .run(&mut |event: &TraceEvent| {
+            threads += usize::from(matches!(event, TraceEvent::ThreadStarted { .. }));
+            writer.record_event(event);
         })
         .map_err(|e| e.to_string())?;
     writer

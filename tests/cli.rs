@@ -244,6 +244,16 @@ fn corrupt_traces_are_refused_with_exit_2() {
     assert!(stderr.contains("refusing to ingest"), "{stderr}");
     assert!(stderr.contains("byte"), "needs a byte offset: {stderr}");
 
+    // A frame declaring a 2^40-byte stream behind a valid header: refused
+    // as truncated, without allocating what it declares.
+    let mut huge = bytes[..8].to_vec();
+    huge.extend_from_slice(&[0x01, 1, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 0]);
+    let huge_path = dir.join("huge.ddrt");
+    std::fs::write(&huge_path, &huge).unwrap();
+    let stderr = refuse(&huge_path);
+    assert!(stderr.contains("byte offset 18"), "{stderr}");
+    assert!(stderr.contains("truncated"), "{stderr}");
+
     // Foreign file: refused on the magic check.
     let foreign = dir.join("foreign.ddrt");
     std::fs::write(&foreign, b"PNG\x0d\x0a not ours").unwrap();

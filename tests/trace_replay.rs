@@ -76,9 +76,11 @@ fn trace_ddrt_roundtrip() {
     let scheduler = config(AnalysisMode::Native).scheduler;
     let trace = Trace::record(spec.program(Scale::TEST, 2), scheduler).unwrap();
     let bytes = encode(&trace);
-    let (decoded, hitm) = ddrace::trace::decode_events(bytes.as_slice()).unwrap();
+    let mut decoded = Vec::new();
+    let summary =
+        ddrace::trace::decode_events_into(bytes.as_slice(), |e| decoded.push(e.clone())).unwrap();
     assert_eq!(decoded, trace.events());
-    assert_eq!(hitm, 0);
+    assert_eq!(summary.hitm_samples, 0);
     // And the decoded trace analyzes like a live run of the same schedule.
     let live = Simulation::new(config(AnalysisMode::Continuous))
         .run(spec.program(Scale::TEST, 2))
