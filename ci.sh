@@ -65,8 +65,10 @@ rm -rf "$A3_SMOKE_DIR"
 # zero violations, byte-identical aggregate + sorted event stream across
 # a rerun, and byte-identical aggregate across 1 vs 8 workers (the sorted
 # streams differ only in the campaign_started worker count, so the
-# cross-worker comparison uses the aggregate).
-echo "==> conformance fuzz smoke (seed 1, 200 specs, workers 1 and 8)"
+# cross-worker comparison uses the aggregate). Then a kill-then-resume
+# through the binary: half the 8-worker event stream (cut mid-line, as a
+# kill would leave it) resumes at 1 worker to the same aggregate.
+echo "==> conformance fuzz smoke (seed 1, 200 specs, workers 1 and 8, resume)"
 FUZZ_SMOKE_DIR=$(mktemp -d)
 ./target/release/ddrace fuzz --seed 1 --count 200 --workers 8 --quiet \
     --events "$FUZZ_SMOKE_DIR/ev8a.jsonl" --out "$FUZZ_SMOKE_DIR/agg8a.json" \
@@ -81,22 +83,39 @@ sort "$FUZZ_SMOKE_DIR/ev8a.jsonl" > "$FUZZ_SMOKE_DIR/ev8a.sorted"
 sort "$FUZZ_SMOKE_DIR/ev8b.jsonl" > "$FUZZ_SMOKE_DIR/ev8b.sorted"
 diff "$FUZZ_SMOKE_DIR/ev8a.sorted" "$FUZZ_SMOKE_DIR/ev8b.sorted"
 diff "$FUZZ_SMOKE_DIR/agg8a.json" "$FUZZ_SMOKE_DIR/agg1.json"
+FUZZ_EVENTS_BYTES=$(wc -c < "$FUZZ_SMOKE_DIR/ev8a.jsonl")
+head -c $((FUZZ_EVENTS_BYTES / 2)) "$FUZZ_SMOKE_DIR/ev8a.jsonl" \
+    > "$FUZZ_SMOKE_DIR/partial.jsonl"
+grep -q '"job_finished"' "$FUZZ_SMOKE_DIR/partial.jsonl"
+./target/release/ddrace fuzz --seed 1 --count 200 --workers 1 --quiet \
+    --resume "$FUZZ_SMOKE_DIR/partial.jsonl" \
+    --out "$FUZZ_SMOKE_DIR/agg-resumed.json" --repro-dir "$FUZZ_SMOKE_DIR"
+diff "$FUZZ_SMOKE_DIR/agg8a.json" "$FUZZ_SMOKE_DIR/agg-resumed.json"
 rm -rf "$FUZZ_SMOKE_DIR"
 
 # Sync-archetype campaign smoke: the memory-model suite (condvar/ring
 # channels, CAS task pool, double-checked init) through continuous +
 # demand-HITM on the campaign harness. Gates on the determinism contract
 # extending to the new opcodes: the aggregate must be byte-identical at
-# 1 vs 8 host workers.
-echo "==> sync-archetype campaign (continuous+demand-hitm, workers 1 vs 8)"
+# 1 vs 8 host workers, and after a kill-then-resume through the binary
+# (half the 1-worker event stream, resumed at 8 workers).
+echo "==> sync-archetype campaign (continuous+demand-hitm, workers 1 vs 8, resume)"
 SYNC_SMOKE_DIR=$(mktemp -d)
 ./target/release/ddrace campaign --suite sync --scale test --seed 7 \
     --modes continuous,demand-hitm --workers 1 --quiet \
-    --out "$SYNC_SMOKE_DIR/agg1.json"
+    --events "$SYNC_SMOKE_DIR/ev1.jsonl" --out "$SYNC_SMOKE_DIR/agg1.json"
 ./target/release/ddrace campaign --suite sync --scale test --seed 7 \
     --modes continuous,demand-hitm --workers 8 --quiet \
     --out "$SYNC_SMOKE_DIR/agg8.json"
 diff "$SYNC_SMOKE_DIR/agg1.json" "$SYNC_SMOKE_DIR/agg8.json"
+SYNC_EVENTS_BYTES=$(wc -c < "$SYNC_SMOKE_DIR/ev1.jsonl")
+head -c $((SYNC_EVENTS_BYTES / 2)) "$SYNC_SMOKE_DIR/ev1.jsonl" \
+    > "$SYNC_SMOKE_DIR/partial.jsonl"
+grep -q '"job_finished"' "$SYNC_SMOKE_DIR/partial.jsonl"
+./target/release/ddrace campaign --suite sync --scale test --seed 7 \
+    --modes continuous,demand-hitm --workers 8 --quiet \
+    --resume "$SYNC_SMOKE_DIR/partial.jsonl" --out "$SYNC_SMOKE_DIR/agg-resumed.json"
+diff "$SYNC_SMOKE_DIR/agg1.json" "$SYNC_SMOKE_DIR/agg-resumed.json"
 rm -rf "$SYNC_SMOKE_DIR"
 
 # Ingest smoke: record a tiny binary corpus from two workloads, replay it

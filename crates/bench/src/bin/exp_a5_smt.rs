@@ -15,7 +15,7 @@
 //! run, and `DDRACE_RESUME` restores finished jobs from a prior stream.
 
 use ddrace_bench::{
-    cap_scale, print_table, run_exp_campaign, save_json, scale_label, seeds_from_env, ExpContext,
+    cap_scale, print_table, run_exp_campaign, save_json, seeds_from_env, ExpContext,
 };
 use ddrace_core::AnalysisMode;
 use ddrace_harness::{Campaign, JobVariant};
@@ -47,8 +47,8 @@ fn main() {
     if remapped {
         eprintln!(
             "note: A5 caps the workload scale at `small`; DDRACE_SCALE={} runs at `{}`",
-            scale_label(ctx.scale),
-            scale_label(scale)
+            ctx.scale.name(),
+            scale.name()
         );
     }
 
@@ -81,7 +81,7 @@ fn main() {
             rows.push(SmtRow {
                 cores,
                 threads: spec.total_threads(),
-                scale: scale_label(scale),
+                scale: scale.name(),
                 hitm_loads: demand.cache.total_hitm_loads(),
                 true_wr: demand.cache.sharing.write_read,
                 racy_vars_demand: demand.races.distinct_addresses,

@@ -28,7 +28,7 @@
 
 use ddrace_core::{AnalysisMode, RunResult, SimConfig, Simulation};
 use ddrace_harness::{
-    resume_campaign, run_campaign, Campaign, CampaignReport, EventSink, ResumeLog,
+    resume_campaign, run_campaign, Campaign, CampaignReport, CheckpointLog, EventSink,
 };
 use ddrace_json::ToJson;
 use ddrace_program::SchedulerConfig;
@@ -57,7 +57,7 @@ impl ExpContext {
     /// at SMALL, wasting the whole (possibly hours-long) experiment.
     pub fn from_env() -> Self {
         let scale = match std::env::var("DDRACE_SCALE") {
-            Ok(name) => parse_scale_name(&name).unwrap_or_else(|e| {
+            Ok(name) => Scale::from_name(&name).unwrap_or_else(|e| {
                 eprintln!("error: {e}");
                 std::process::exit(2);
             }),
@@ -126,37 +126,6 @@ pub fn run_one_with(ctx: &ExpContext, spec: &WorkloadSpec, config: SimConfig) ->
         .unwrap_or_else(|e| panic!("workload {} failed to schedule: {e}", spec.name))
 }
 
-/// Parses a scale preset name as used by `DDRACE_SCALE` and the CLI:
-/// `test`, `small`, or `large`.
-///
-/// # Errors
-///
-/// Returns a message naming the bad value and the accepted names.
-pub fn parse_scale_name(name: &str) -> Result<Scale, String> {
-    match name {
-        "test" => Ok(Scale::TEST),
-        "small" => Ok(Scale::SMALL),
-        "large" => Ok(Scale::LARGE),
-        other => Err(format!(
-            "unknown scale `{other}` (expected test, small, or large)"
-        )),
-    }
-}
-
-/// The preset name of a scale (inverse of [`parse_scale_name`]); ad-hoc
-/// ratios print as `num/den`.
-pub fn scale_label(scale: Scale) -> String {
-    if scale == Scale::TEST {
-        "test".to_string()
-    } else if scale == Scale::SMALL {
-        "small".to_string()
-    } else if scale == Scale::LARGE {
-        "large".to_string()
-    } else {
-        format!("{}/{}", scale.num, scale.den)
-    }
-}
-
 /// Caps `scale` at `cap` (comparing the scaling ratios). Returns the
 /// effective scale and whether a remap happened — callers must announce
 /// the remap instead of silently downgrading the run.
@@ -210,7 +179,7 @@ pub fn run_exp_campaign(campaign: &Campaign) -> CampaignReport {
             eprintln!("error: DDRACE_RESUME {path}: {e}");
             std::process::exit(2);
         });
-        ResumeLog::parse(&text).unwrap_or_else(|e| {
+        CheckpointLog::parse(&text).unwrap_or_else(|e| {
             eprintln!("error: DDRACE_RESUME {path}: {e}");
             std::process::exit(2);
         })
@@ -254,36 +223,6 @@ pub fn host_workers() -> usize {
         })
 }
 
-/// Builds the [`Campaign`] that [`run_matrix`] executes: every workload
-/// under every mode at the context's scale, seed, and core count.
-pub fn matrix_campaign(
-    ctx: &ExpContext,
-    name: &str,
-    specs: &[WorkloadSpec],
-    modes: &[AnalysisMode],
-) -> Campaign {
-    matrix_campaign_seeded(ctx, name, specs, modes, &[ctx.seed])
-}
-
-/// Like [`matrix_campaign`], with an explicit seed axis: the cross
-/// product workload × mode × seed, seed innermost. Both workload
-/// generation and the interleaving scheduler derive from the job's seed.
-pub fn matrix_campaign_seeded(
-    ctx: &ExpContext,
-    name: &str,
-    specs: &[WorkloadSpec],
-    modes: &[AnalysisMode],
-    seeds: &[u64],
-) -> Campaign {
-    Campaign::builder(name)
-        .workloads(specs.iter().cloned())
-        .modes(modes.iter().copied())
-        .seeds(seeds.iter().copied())
-        .scale(ctx.scale)
-        .cores(ctx.cores)
-        .build()
-}
-
 /// Runs every workload under every mode on the campaign harness's worker
 /// pool. Results keep the input order.
 ///
@@ -300,9 +239,11 @@ pub fn run_matrix(
 }
 
 /// Runs the full workload × mode × seed cross product on the campaign
-/// harness. Rows keep workload order; within a row, runs are mode-major
-/// with the seed axis innermost (`runs[m * seeds.len() + s]`), and
-/// multi-seed sweeps carry per-mode mean/min/max fold-downs in
+/// harness, at the context's scale and core count. Both workload
+/// generation and the interleaving scheduler derive from the job's seed.
+/// Rows keep workload order; within a row, runs are mode-major with the
+/// seed axis innermost (`runs[m * seeds.len() + s]`), and multi-seed
+/// sweeps carry per-mode mean/min/max fold-downs in
 /// [`SuiteRow::seed_stats`](ddrace_harness::SuiteRow).
 ///
 /// # Panics
@@ -315,7 +256,13 @@ pub fn run_matrix_seeded(
     modes: &[AnalysisMode],
     seeds: &[u64],
 ) -> Vec<ModeRow> {
-    let campaign = matrix_campaign_seeded(ctx, "matrix", specs, modes, seeds);
+    let campaign = Campaign::builder("matrix")
+        .workloads(specs.iter().cloned())
+        .modes(modes.iter().copied())
+        .seeds(seeds.iter().copied())
+        .scale(ctx.scale)
+        .cores(ctx.cores)
+        .build();
     let report = run_campaign(&campaign, host_workers(), &EventSink::null());
     for record in &report.records {
         if let Err(reason) = &record.outcome {
@@ -445,19 +392,6 @@ mod tests {
         let solo = run_matrix_seeded(&ctx, &specs, &modes, &[9]);
         assert_eq!(row.runs[1].makespan, solo[0].runs[0].makespan);
         assert_eq!(row.runs[3].makespan, solo[0].runs[1].makespan);
-    }
-
-    #[test]
-    fn scale_names_round_trip_and_reject_unknown() {
-        for name in ["test", "small", "large"] {
-            assert_eq!(scale_label(parse_scale_name(name).unwrap()), name);
-        }
-        // The old from_env treated these as SMALL silently; they must be
-        // errors now.
-        for bad in ["Large", "LARGE", "huge", ""] {
-            assert!(parse_scale_name(bad).is_err(), "{bad:?} must be rejected");
-        }
-        assert_eq!(scale_label(Scale { num: 3, den: 2 }), "3/2");
     }
 
     #[test]

@@ -222,14 +222,7 @@ pub fn run_fuzz(
     let job_fps: Vec<u64> = (0..cfg.count).map(|i| cfg.job_fingerprint(i)).collect();
 
     let prefilled = match resume {
-        Some(log) => log.prefill_with(&name, fingerprint, &job_fps, |id, raw| {
-            FuzzOutcome::from_json(&raw.result).map_err(|e| {
-                format!(
-                    "job_finished #{id} ({}): invalid result payload: {e}",
-                    raw.label
-                )
-            })
-        })?,
+        Some(log) => log.prefill_with(&name, fingerprint, &job_fps)?,
         None => Vec::new(),
     };
 

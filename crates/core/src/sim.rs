@@ -32,7 +32,8 @@ use ddrace_program::{
     AccessKind, Addr, AddressSpace, ExecutionListener, Op, OpCounts, Program, ScheduleError,
     Scheduler, ThreadId, TraceEvent,
 };
-use ddrace_trace::TraceSink;
+use ddrace_trace::TraceWriter;
+use std::io::Write;
 
 /// Runs programs under a fixed configuration.
 ///
@@ -86,25 +87,26 @@ impl Simulation {
         Ok(state.into_result(schedule, self.config.mode.label()))
     }
 
-    /// Like [`Simulation::run`], but also records the execution into
-    /// `sink`: every scheduler event in global order, plus a HITM-sample
-    /// record for each PMI the sharing indicator raises (demand modes).
-    /// This is the simulator-side producer of the record/replay pipeline;
-    /// the recorded trace replays to the identical racy-key set under
+    /// Like [`Simulation::run`], but also records every scheduler event
+    /// into `writer`, in global order, before the simulator sees it. The
+    /// recorded trace replays to the identical racy-key set under
     /// `ddrace_harness::replay`.
     ///
     /// # Errors
     ///
     /// Propagates scheduler errors (deadlock, sync misuse).
-    pub fn run_recorded(
+    pub fn run_recorded<W: Write>(
         &self,
         program: Program,
-        sink: &mut dyn TraceSink,
+        writer: &mut TraceWriter<W>,
     ) -> Result<RunResult, ScheduleError> {
         let _span = ddrace_telemetry::span("sim.run");
         let mut state = SimState::new(&self.config);
-        state.sink = Some(sink);
-        let schedule = Scheduler::new(program, self.config.scheduler).run(&mut state)?;
+        let schedule =
+            Scheduler::new(program, self.config.scheduler).run(&mut |event: &TraceEvent| {
+                writer.record_event(event);
+                state.on_event(event);
+            })?;
         Ok(state.into_result(schedule, self.config.mode.label()))
     }
 
@@ -234,8 +236,6 @@ struct SimState<'s> {
     enabled_cycles: u64,
     total_cycles: u64,
     timeline: Vec<ToggleEvent>,
-    /// When recording, every event (and HITM sample) is mirrored here.
-    sink: Option<&'s mut dyn TraceSink>,
 }
 
 impl<'s> SimState<'s> {
@@ -284,7 +284,6 @@ impl<'s> SimState<'s> {
             enabled_cycles: 0,
             total_cycles: 0,
             timeline: Vec::new(),
-            sink: None,
         }
     }
 
@@ -337,13 +336,7 @@ impl<'s> SimState<'s> {
     /// Feeds the hardware indicator with an access performed while
     /// analysis is off; handles a resulting PMI + enable. Returns the PMI
     /// cost to add to the op.
-    fn feed_indicator(
-        &mut self,
-        core: CoreId,
-        result: &AccessResult,
-        kind: AccessKind,
-        addr: Addr,
-    ) -> u64 {
+    fn feed_indicator(&mut self, core: CoreId, result: &AccessResult, kind: AccessKind) -> u64 {
         let Some(ind) = &mut self.indicator else {
             return 0;
         };
@@ -351,9 +344,6 @@ impl<'s> SimState<'s> {
             return 0;
         };
         self.pmis += 1;
-        if let Some(sink) = self.sink.as_deref_mut() {
-            sink.hitm(signal.core.index() as u32, addr);
-        }
         let idx = self.controller_index(signal.core);
         if self.controllers[idx].on_sharing_signal() {
             self.charge_toggle(signal.core);
@@ -397,7 +387,7 @@ impl<'s> SimState<'s> {
                 }
             }
         } else {
-            cycles += self.feed_indicator(core, &result, kind, addr);
+            cycles += self.feed_indicator(core, &result, kind);
         }
         self.charge(core, cycles, analysis_on);
     }
@@ -419,7 +409,7 @@ impl<'s> SimState<'s> {
             cycles += u64::from(self.cost.analysis_per_sync);
         }
         if !analysis_on {
-            cycles += self.feed_indicator(core, &result, kind, addr);
+            cycles += self.feed_indicator(core, &result, kind);
         }
         self.charge(core, cycles, analysis_on);
     }
@@ -593,9 +583,6 @@ impl<'s> SimState<'s> {
 
 impl ExecutionListener for SimState<'_> {
     fn on_event(&mut self, event: &TraceEvent) {
-        if let Some(sink) = self.sink.as_deref_mut() {
-            sink.event(event);
-        }
         match event {
             TraceEvent::ThreadStarted { tid, parent } => {
                 if let Some(d) = &mut self.detector {

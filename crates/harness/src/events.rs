@@ -8,7 +8,7 @@
 //! order; consumers correlate on the `id` field. Wall-clock timings appear
 //! *only* here, never in the deterministic aggregate.
 //!
-//! The stream doubles as a **checkpoint** (see [`crate::ResumeLog`]):
+//! The stream doubles as a **checkpoint** (see [`crate::CheckpointLog`]):
 //! `campaign_started` carries the campaign spec fingerprint, and each
 //! `job_finished` carries the job's own fingerprint, seed, full `result`
 //! payload, and telemetry — everything needed to skip the job on a
@@ -17,7 +17,8 @@
 //! whatever telemetry the failing body had already recorded.
 
 use crate::executor::{FailReason, JobRecord};
-use ddrace_json::Value;
+use ddrace_json::{ToJson, Value};
+use ddrace_telemetry::Telemetry;
 use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -28,10 +29,11 @@ use std::time::Duration;
 pub struct EventSink {
     jsonl: Option<Mutex<Box<dyn Write + Send>>>,
     progress: bool,
-    /// Report `wall_ms` as `0.0` in JSONL events (stderr progress keeps
-    /// real timings). Runs that promise byte-reproducible event streams
-    /// (the conformance fuzzer) set this; wall clock is the only
-    /// nondeterministic field an event otherwise carries.
+    /// Report `wall_ms` as `0.0`, and telemetry span times as 0, in
+    /// JSONL events (stderr progress keeps real timings). Runs that
+    /// promise byte-reproducible event streams (`ddrace fuzz` and
+    /// `ddrace ingest`) set this; wall clock is the only nondeterministic
+    /// content an event otherwise carries.
     zero_wall: bool,
     total: AtomicUsize,
     done: AtomicUsize,
@@ -66,10 +68,11 @@ impl EventSink {
     }
 
     /// Makes the JSONL stream byte-deterministic: every `wall_ms` field
-    /// is written as `0.0`. Line *order* still follows completion order;
-    /// consumers wanting byte-identical streams across worker counts
-    /// sort the lines (each line is self-contained). Stderr progress is
-    /// unaffected and keeps real timings.
+    /// is written as `0.0`, and every telemetry span keeps its `count`
+    /// but reports `total_ns` as 0. Line *order* still follows
+    /// completion order; consumers wanting byte-identical streams across
+    /// worker counts sort the lines (each line is self-contained).
+    /// Stderr progress is unaffected and keeps real timings.
     pub fn with_deterministic_wall(mut self) -> EventSink {
         self.zero_wall = true;
         self
@@ -77,6 +80,14 @@ impl EventSink {
 
     fn wall_field(&self, wall: Duration) -> Value {
         Value::Float(if self.zero_wall { 0.0 } else { ms(wall) })
+    }
+
+    fn telemetry_field(&self, telemetry: &Telemetry) -> Value {
+        if self.zero_wall {
+            telemetry.with_zeroed_span_times().to_json()
+        } else {
+            telemetry.to_json()
+        }
     }
 
     fn emit(&self, event: &str, mut fields: Vec<(String, Value)>) {
@@ -152,7 +163,7 @@ impl EventSink {
             ("wall_ms".to_string(), self.wall_field(record.wall)),
         ];
         if let Some(t) = &record.telemetry {
-            fields.push(("telemetry".to_string(), ddrace_json::ToJson::to_json(t)));
+            fields.push(("telemetry".to_string(), self.telemetry_field(t)));
         }
         if let Some(s) = summary {
             fields.push(("summary".to_string(), s));
@@ -186,7 +197,7 @@ impl EventSink {
             ("wall_ms".to_string(), self.wall_field(record.wall)),
         ];
         if let Some(t) = &record.telemetry {
-            fields.push(("telemetry".to_string(), ddrace_json::ToJson::to_json(t)));
+            fields.push(("telemetry".to_string(), self.telemetry_field(t)));
         }
         fields.extend(extra.iter().cloned());
         self.emit("job_failed", fields);

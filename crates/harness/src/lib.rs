@@ -30,10 +30,11 @@
 //!   with telemetry payloads, plus human progress on stderr. The stream
 //!   carries spec fingerprints and full result payloads, making it a
 //!   checkpoint.
-//! - [`ResumeLog`] / [`resume_campaign`] — parse a prior run's event
+//! - [`CheckpointLog`] / [`resume_campaign`] — parse a prior run's event
 //!   stream, validate it against the campaign by fingerprint, and re-run
 //!   only the jobs that never finished. The resumed aggregate is
-//!   byte-identical to an uninterrupted run's.
+//!   byte-identical to an uninterrupted run's. The conformance fuzzer
+//!   resumes through the same reader.
 //! - [`CampaignReport`] — per-job records, campaign-total counters, and the
 //!   aggregate JSON whose `rows` field keeps the historical `results/`
 //!   schema, plus per-(workload, mode) mean/min/max fold-downs across the
@@ -77,7 +78,7 @@ pub use replay::replay;
 pub use report::{AxisStat, CampaignReport, SeedFold, SuiteRow};
 pub use resume::{
     campaign_fingerprint, fingerprint_hex, fingerprint_of_jobs, fnv1a, job_fingerprint,
-    CheckpointLog, FinishedJob, RawFinishedJob, ResumeLog,
+    CheckpointLog, RecordedJob,
 };
 pub use variant::{ConfigPatch, JobVariant};
 
@@ -101,10 +102,11 @@ pub fn run_campaign(campaign: &Campaign, workers: usize, sink: &EventSink) -> Ca
 
 /// Resumes an interrupted campaign from a prior run's parsed event stream.
 ///
-/// The log is validated against `campaign` — the campaign fingerprint
-/// (name + full per-job configuration) must match, and every finished
-/// job is checked by id **and** job fingerprint — then the jobs the log
-/// records as finished are pre-filled from their `result` payloads and
+/// The log is validated against `campaign` by
+/// [`CheckpointLog::prefill_with`] — the campaign fingerprint (name +
+/// full per-job configuration) must match, and every finished job is
+/// checked by id **and** job fingerprint — then the jobs the log records
+/// as finished are pre-filled from their decoded `result` payloads and
 /// only the remainder executes. The resulting
 /// [`CampaignReport::aggregate_json`] is byte-identical to an
 /// uninterrupted run's, and the new event stream re-lists the prefilled
@@ -114,15 +116,21 @@ pub fn run_campaign(campaign: &Campaign, workers: usize, sink: &EventSink) -> Ca
 /// # Errors
 ///
 /// Returns an error when the log's fingerprint does not match the
-/// campaign (different job set, seeds, or configuration) or a recorded
-/// job does not line up with its slot.
+/// campaign (different job set, seeds, or configuration), a recorded
+/// job does not line up with its slot, or a `result` payload is not a
+/// [`RunResult`].
 pub fn resume_campaign(
     campaign: &Campaign,
     workers: usize,
     sink: &EventSink,
-    log: &ResumeLog,
+    log: &CheckpointLog,
 ) -> Result<CampaignReport, String> {
-    let prefilled = log.prefill(campaign)?;
+    let job_fingerprints: Vec<u64> = campaign.jobs.iter().map(job_fingerprint).collect();
+    let prefilled = log.prefill_with(
+        &campaign.name,
+        fingerprint_of_jobs(&campaign.name, &job_fingerprints),
+        &job_fingerprints,
+    )?;
     Ok(run_campaign_prefilled(campaign, workers, sink, prefilled))
 }
 

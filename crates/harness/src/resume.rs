@@ -1,26 +1,23 @@
-//! Checkpoint/resume: replaying a prior campaign's JSONL event stream so
-//! an interrupted sweep only re-runs the jobs that never finished.
+//! Checkpoint/resume: replaying a prior run's JSONL event stream so an
+//! interrupted sweep only re-runs the jobs that never finished.
 //!
 //! The event stream is the checkpoint — no extra state file. A
 //! `campaign_started` event carries a **spec fingerprint** (a hash over
-//! the campaign name and every job's full configuration), and each
+//! the run name and every job's full configuration), and each
 //! `job_finished` event carries its job's own fingerprint plus the full
 //! `result` payload and telemetry counters.
 //!
-//! Two layers live here:
-//!
-//! - [`CheckpointLog`] — the generic reader: parses any harness event
-//!   stream, keeps each finished job's `result` as raw JSON, and
-//!   validates identity (campaign fingerprint, job count, per-job
-//!   fingerprints) before converting finished jobs into typed
-//!   [`JobRecord`](crate::JobRecord)s via a caller-supplied decoder.
-//!   This is what non-campaign runs on the same worker pool (the
-//!   conformance fuzzer's `ddrace fuzz --resume`) use.
-//! - [`ResumeLog`] — the campaign-typed wrapper: results decoded into
-//!   [`RunResult`]s, consumed by
-//!   [`resume_campaign`](crate::resume_campaign). Because the aggregate
-//!   document is a function of per-job results alone, a resumed campaign
-//!   reproduces the uninterrupted aggregate byte for byte.
+//! [`CheckpointLog`] is the one reader. [`CheckpointLog::parse`] reads
+//! any harness event stream, keeping each finished job's `result` as raw
+//! JSON; [`CheckpointLog::prefill_with`] validates the log against the
+//! run about to execute (run fingerprint, job count, per-job
+//! fingerprints) and decodes the finished jobs into typed
+//! [`JobRecord`](crate::JobRecord)s. Simulator campaigns
+//! ([`resume_campaign`](crate::resume_campaign)) and the conformance
+//! fuzzer (`ddrace fuzz --resume`) both go through it, so both refuse a
+//! foreign checkpoint with the same words. Because an aggregate document
+//! is a function of per-job results alone, a resumed run reproduces the
+//! uninterrupted aggregate byte for byte.
 //!
 //! Jobs are keyed by **id + fingerprint**, never by label: two jobs of a
 //! campaign may share a label (the same workload listed twice), but ids
@@ -28,7 +25,6 @@
 
 use crate::executor::JobRecord;
 use crate::job::{Campaign, Job};
-use ddrace_core::RunResult;
 use ddrace_json::{FromJson, ToJson, Value};
 use ddrace_telemetry::Telemetry;
 use std::collections::BTreeMap;
@@ -141,59 +137,11 @@ pub fn fingerprint_hex(fingerprint: u64) -> String {
     format!("{fingerprint:016x}")
 }
 
-/// The identity check every resume performs before trusting a log: the
-/// run fingerprint (name + full per-job configuration) and the job count
-/// must both match. Single-sourced so the campaign and fuzz paths emit
-/// the same refusal message.
-fn check_compatibility(
-    log_campaign: &str,
-    log_fingerprint: u64,
-    log_jobs_total: usize,
-    name: &str,
-    fingerprint: u64,
-    jobs_total: usize,
-) -> Result<(), String> {
-    if log_fingerprint != fingerprint {
-        return Err(format!(
-            "resume log was recorded for campaign `{}` (fingerprint {}), \
-             but the current campaign is `{}` (fingerprint {}); \
-             the job set, seeds, or configuration differ — refusing to resume",
-            log_campaign,
-            fingerprint_hex(log_fingerprint),
-            name,
-            fingerprint_hex(fingerprint),
-        ));
-    }
-    if log_jobs_total != jobs_total {
-        return Err(format!(
-            "resume log recorded {log_jobs_total} jobs, current campaign has {jobs_total}"
-        ));
-    }
-    Ok(())
-}
-
-/// Per-job identity check: the recorded fingerprint must match the
-/// current spec's — resume never trusts labels alone.
-fn check_job_fingerprint(
-    id: usize,
-    label: &str,
-    recorded: u64,
-    expected: u64,
-) -> Result<(), String> {
-    if recorded != expected {
-        return Err(format!(
-            "resume log job #{id} ({label}) has fingerprint {}, expected {}",
-            fingerprint_hex(recorded),
-            fingerprint_hex(expected),
-        ));
-    }
-    Ok(())
-}
-
 /// One finished job recovered from a prior event stream, its `result`
-/// payload still raw JSON. The typed layers decode it.
+/// payload still raw JSON until [`CheckpointLog::prefill_with`] decodes
+/// it.
 #[derive(Debug, Clone)]
-pub struct RawFinishedJob {
+pub struct RecordedJob {
     /// The job's label as recorded.
     pub label: String,
     /// The job's spec fingerprint as recorded.
@@ -207,10 +155,10 @@ pub struct RawFinishedJob {
     pub wall: Duration,
 }
 
-/// A parsed prior event stream with raw result payloads: the campaign
+/// A parsed prior event stream with raw result payloads: the run
 /// identity it was recorded for and every job that finished before the
-/// interruption. Result-type agnostic; see [`ResumeLog`] for the
-/// campaign-typed view.
+/// interruption. Result-type agnostic until
+/// [`CheckpointLog::prefill_with`] decodes the payloads.
 #[derive(Debug, Clone)]
 pub struct CheckpointLog {
     /// The recorded campaign name.
@@ -221,7 +169,7 @@ pub struct CheckpointLog {
     pub jobs_total: usize,
     /// Finished jobs keyed by id. Failed jobs are deliberately absent —
     /// resume re-runs them.
-    pub finished: BTreeMap<usize, RawFinishedJob>,
+    pub finished: BTreeMap<usize, RecordedJob>,
     /// Lines that did not parse as JSON (a kill can truncate the final
     /// line mid-write); kept as a count for diagnostics.
     pub malformed_lines: usize,
@@ -287,7 +235,7 @@ impl CheckpointLog {
                         .unwrap_or_default();
                     finished.insert(
                         id,
-                        RawFinishedJob {
+                        RecordedJob {
                             label,
                             fingerprint,
                             result: event["result"].clone(),
@@ -314,142 +262,66 @@ impl CheckpointLog {
 
     /// Validates this log against the run about to execute — `name`,
     /// its run `fingerprint`, and the expected per-job fingerprints in
-    /// id order — then converts finished jobs into prefilled records,
-    /// decoding each raw `result` payload with `decode`.
+    /// id order — then decodes each finished job's `result` payload into
+    /// a prefilled record.
     ///
-    /// The error messages match [`ResumeLog::prefill`]'s exactly; the
-    /// two paths refuse a mismatched checkpoint with the same words.
-    pub fn prefill_with<T>(
+    /// This is the one place a checkpoint is checked. It refuses a log
+    /// whose run fingerprint differs (different name, job set, seeds, or
+    /// configuration), whose job count differs, or whose finished jobs
+    /// do not match their slots by id **and** fingerprint — resume never
+    /// trusts labels alone — and a payload that does not decode as `T`.
+    pub fn prefill_with<T: FromJson>(
         &self,
         name: &str,
         fingerprint: u64,
         job_fingerprints: &[u64],
-        mut decode: impl FnMut(usize, &RawFinishedJob) -> Result<T, String>,
     ) -> Result<Vec<JobRecord<T>>, String> {
-        check_compatibility(
-            &self.campaign,
-            self.fingerprint,
-            self.jobs_total,
-            name,
-            fingerprint,
-            job_fingerprints.len(),
-        )?;
-        let mut records = Vec::with_capacity(self.finished.len());
-        for (&id, done) in &self.finished {
-            let expected = *job_fingerprints.get(id).ok_or_else(|| {
-                format!("resume log finished job #{id} is out of range for this campaign")
-            })?;
-            check_job_fingerprint(id, &done.label, done.fingerprint, expected)?;
-            records.push(JobRecord {
-                id,
-                label: done.label.clone(),
-                outcome: Ok(decode(id, done)?),
-                telemetry: done.telemetry.clone(),
-                wall: done.wall,
-            });
+        if self.fingerprint != fingerprint {
+            return Err(format!(
+                "resume log was recorded for campaign `{}` (fingerprint {}), \
+                 but the current campaign is `{name}` (fingerprint {}); \
+                 the job set, seeds, or configuration differ — refusing to resume",
+                self.campaign,
+                fingerprint_hex(self.fingerprint),
+                fingerprint_hex(fingerprint),
+            ));
         }
-        Ok(records)
-    }
-}
-
-/// One finished job recovered from a prior event stream.
-#[derive(Debug, Clone)]
-pub struct FinishedJob {
-    /// The job's label as recorded.
-    pub label: String,
-    /// The job's spec fingerprint as recorded.
-    pub fingerprint: u64,
-    /// The full result, round-tripped through the event's `result` field.
-    pub result: RunResult,
-    /// Telemetry counters (and spans) as recorded, if any.
-    pub telemetry: Option<Telemetry>,
-    /// The recorded wall-clock time of the original run.
-    pub wall: Duration,
-}
-
-/// A parsed prior event stream: the campaign identity it was recorded
-/// for and every job that finished before the interruption.
-#[derive(Debug, Clone)]
-pub struct ResumeLog {
-    /// The recorded campaign name.
-    pub campaign: String,
-    /// The recorded campaign fingerprint.
-    pub fingerprint: u64,
-    /// The recorded job count.
-    pub jobs_total: usize,
-    /// Finished jobs keyed by id. Failed jobs are deliberately absent —
-    /// resume re-runs them.
-    pub finished: BTreeMap<usize, FinishedJob>,
-    /// Lines that did not parse as JSON (a kill can truncate the final
-    /// line mid-write); kept as a count for diagnostics.
-    pub malformed_lines: usize,
-}
-
-impl ResumeLog {
-    /// Parses a JSONL event stream produced by a prior campaign run,
-    /// decoding each finished job's `result` payload into a
-    /// [`RunResult`]. See [`CheckpointLog::parse`] for stream handling.
-    pub fn parse(text: &str) -> Result<ResumeLog, String> {
-        let raw = CheckpointLog::parse(text)?;
-        let mut finished = BTreeMap::new();
-        for (&id, done) in &raw.finished {
-            let result = RunResult::from_json(&done.result).map_err(|e| {
-                format!(
-                    "job_finished #{id} ({}): invalid result payload: {e}",
-                    done.label
-                )
-            })?;
-            finished.insert(
-                id,
-                FinishedJob {
+        if self.jobs_total != job_fingerprints.len() {
+            return Err(format!(
+                "resume log recorded {} jobs, current campaign has {}",
+                self.jobs_total,
+                job_fingerprints.len()
+            ));
+        }
+        self.finished
+            .iter()
+            .map(|(&id, done)| {
+                let expected = *job_fingerprints.get(id).ok_or_else(|| {
+                    format!("resume log finished job #{id} is out of range for this campaign")
+                })?;
+                if done.fingerprint != expected {
+                    return Err(format!(
+                        "resume log job #{id} ({}) has fingerprint {}, expected {}",
+                        done.label,
+                        fingerprint_hex(done.fingerprint),
+                        fingerprint_hex(expected),
+                    ));
+                }
+                let result = T::from_json(&done.result).map_err(|e| {
+                    format!(
+                        "job_finished #{id} ({}): invalid result payload: {e}",
+                        done.label
+                    )
+                })?;
+                Ok(JobRecord {
+                    id,
                     label: done.label.clone(),
-                    fingerprint: done.fingerprint,
-                    result,
+                    outcome: Ok(result),
                     telemetry: done.telemetry.clone(),
                     wall: done.wall,
-                },
-            );
-        }
-        Ok(ResumeLog {
-            campaign: raw.campaign,
-            fingerprint: raw.fingerprint,
-            jobs_total: raw.jobs_total,
-            finished,
-            malformed_lines: raw.malformed_lines,
-        })
-    }
-
-    /// Validates this log against the campaign about to run and converts
-    /// its finished jobs into prefilled records.
-    ///
-    /// Rejects a log whose campaign fingerprint differs from the current
-    /// campaign's (different name, job set, seeds, or configuration) and
-    /// any finished job whose id/fingerprint pair does not match —
-    /// resume never trusts labels alone.
-    pub fn prefill(&self, campaign: &Campaign) -> Result<Vec<JobRecord<RunResult>>, String> {
-        check_compatibility(
-            &self.campaign,
-            self.fingerprint,
-            self.jobs_total,
-            &campaign.name,
-            campaign_fingerprint(campaign),
-            campaign.jobs.len(),
-        )?;
-        let mut records = Vec::with_capacity(self.finished.len());
-        for (&id, done) in &self.finished {
-            let job = campaign.jobs.get(id).ok_or_else(|| {
-                format!("resume log finished job #{id} is out of range for this campaign")
-            })?;
-            check_job_fingerprint(id, &done.label, done.fingerprint, job_fingerprint(job))?;
-            records.push(JobRecord {
-                id,
-                label: done.label.clone(),
-                outcome: Ok(done.result.clone()),
-                telemetry: done.telemetry.clone(),
-                wall: done.wall,
-            });
-        }
-        Ok(records)
+                })
+            })
+            .collect()
     }
 }
 
@@ -559,7 +431,7 @@ mod tests {
 
     #[test]
     fn parse_rejects_streams_without_header() {
-        let err = ResumeLog::parse("{\"event\":\"job_started\",\"id\":0}\n").unwrap_err();
+        let err = CheckpointLog::parse("{\"event\":\"job_started\",\"id\":0}\n").unwrap_err();
         assert!(err.contains("no campaign_started"), "{err}");
     }
 
@@ -570,7 +442,7 @@ mod tests {
             "{{\"event\":\"campaign_started\",\"campaign\":\"fp-test\",\"jobs\":4,\"workers\":1,\"fingerprint\":\"{}\"}}\n{{\"event\":\"job_finis",
             fingerprint_hex(campaign_fingerprint(&spec))
         );
-        let log = ResumeLog::parse(&head).unwrap();
+        let log = CheckpointLog::parse(&head).unwrap();
         assert_eq!(log.malformed_lines, 1);
         assert!(log.finished.is_empty());
         assert_eq!(log.jobs_total, 4);
@@ -585,32 +457,43 @@ mod tests {
     }
 
     #[test]
-    fn generic_prefill_rejects_with_the_same_words_as_typed_prefill() {
+    fn prefill_with_checks_every_finished_job() {
         let spec = campaign();
-        let other = Campaign::builder("fp-test")
-            .workloads([racy::sparse_race()])
-            .modes([AnalysisMode::Native, AnalysisMode::Continuous])
-            .seeds([1, 3])
-            .scale(Scale::TEST)
-            .cores(2)
-            .build();
+        let fps: Vec<u64> = spec.jobs.iter().map(job_fingerprint).collect();
         let head = format!(
             "{{\"event\":\"campaign_started\",\"campaign\":\"fp-test\",\"jobs\":4,\"workers\":1,\"fingerprint\":\"{}\"}}\n",
             fingerprint_hex(campaign_fingerprint(&spec))
         );
-        let typed_err = ResumeLog::parse(&head)
-            .unwrap()
-            .prefill(&other)
-            .unwrap_err();
-        let fps: Vec<u64> = other.jobs.iter().map(job_fingerprint).collect();
-        let raw_err = CheckpointLog::parse(&head)
-            .unwrap()
-            .prefill_with::<()>(&other.name, campaign_fingerprint(&other), &fps, |_, _| {
-                Ok(())
-            })
-            .unwrap_err();
-        assert_eq!(typed_err, raw_err);
-        assert!(typed_err.contains("refusing to resume"), "{typed_err}");
+        // Job #1 finished, recorded with fingerprint `fp` and an empty result.
+        let finished = |fp: u64| {
+            format!(
+                "{{\"event\":\"job_finished\",\"id\":1,\"label\":\"x\",\"fingerprint\":\"{}\",\"result\":{{}}}}\n",
+                fingerprint_hex(fp)
+            )
+        };
+        let refusal = |text: String| {
+            CheckpointLog::parse(&text)
+                .unwrap()
+                .prefill_with::<ddrace_core::RunResult>(
+                    &spec.name,
+                    campaign_fingerprint(&spec),
+                    &fps,
+                )
+                .unwrap_err()
+        };
+        assert_eq!(
+            refusal(head.clone() + &finished(fps[0])),
+            format!(
+                "resume log job #1 (x) has fingerprint {}, expected {}",
+                fingerprint_hex(fps[0]),
+                fingerprint_hex(fps[1])
+            )
+        );
+        let err = refusal(head + &finished(fps[1]));
+        assert!(
+            err.starts_with("job_finished #1 (x): invalid result payload"),
+            "{err}"
+        );
     }
 
     #[test]

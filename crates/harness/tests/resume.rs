@@ -9,8 +9,8 @@
 
 use ddrace_core::AnalysisMode;
 use ddrace_harness::{
-    campaign_fingerprint, fingerprint_hex, resume_campaign, run_campaign, Campaign, EventSink,
-    JobVariant, ResumeLog,
+    campaign_fingerprint, fingerprint_hex, resume_campaign, run_campaign, Campaign, CheckpointLog,
+    EventSink, JobVariant,
 };
 use ddrace_workloads::{phoenix, racy, Scale};
 use std::io::Write;
@@ -116,7 +116,7 @@ fn killed_campaign_resumes_to_byte_identical_aggregate() {
         assert!(died.is_err(), "the injected kill must abort the campaign");
         drop(sink);
 
-        let parsed = ResumeLog::parse(&log.text()).expect("truncated stream still parses");
+        let parsed = CheckpointLog::parse(&log.text()).expect("truncated stream still parses");
         assert!(
             parsed.finished.len() < spec.jobs.len(),
             "the kill must leave unfinished jobs ({} finished)",
@@ -144,7 +144,7 @@ fn killed_campaign_resumes_to_byte_identical_aggregate() {
 
         // The resumed stream is itself a complete checkpoint: resuming
         // from it re-runs nothing and still reproduces the aggregate.
-        let full = ResumeLog::parse(&resumed_log.text()).unwrap();
+        let full = CheckpointLog::parse(&resumed_log.text()).unwrap();
         assert_eq!(full.finished.len(), spec.jobs.len());
         let silent = EventSink::null();
         let report = resume_campaign(&spec, workers, &silent, &full).unwrap();
@@ -164,7 +164,7 @@ fn resume_rejects_mismatched_campaign() {
     run_campaign(&spec, 2, &sink);
     drop(sink);
     assert!(log.lines_written() > 0);
-    let parsed = ResumeLog::parse(&log.text()).unwrap();
+    let parsed = CheckpointLog::parse(&log.text()).unwrap();
 
     // Same name, same workloads — but a different seed axis.
     let other = Campaign::builder("resume-test")
@@ -218,7 +218,7 @@ fn duplicate_label_campaign_resumes_by_id_not_label() {
         }
     }
     let partial = kept.join("\n");
-    let parsed = ResumeLog::parse(&partial).unwrap();
+    let parsed = CheckpointLog::parse(&partial).unwrap();
     assert_eq!(parsed.finished.len(), 1);
     let report = resume_campaign(&spec, 2, &EventSink::null(), &parsed).unwrap();
     assert_eq!(
@@ -262,7 +262,7 @@ fn killed_variant_sweep_resumes_to_byte_identical_aggregate() {
         .filter(|l| l.contains("\"campaign_started\"") || l.contains("\"job_finished\""))
         .take(4)
         .collect();
-    let partial = ResumeLog::parse(&partial.join("\n")).unwrap();
+    let partial = CheckpointLog::parse(&partial.join("\n")).unwrap();
     assert_eq!(partial.finished.len(), 3);
 
     for &workers in &worker_counts() {
@@ -284,7 +284,7 @@ fn killed_variant_sweep_resumes_to_byte_identical_aggregate() {
         let died = catch_unwind(AssertUnwindSafe(|| run_campaign(&spec, workers, &sink)));
         assert!(died.is_err(), "the injected kill must abort the campaign");
         drop(sink);
-        let parsed = ResumeLog::parse(&log.text()).expect("truncated stream still parses");
+        let parsed = CheckpointLog::parse(&log.text()).expect("truncated stream still parses");
         assert!(
             parsed.finished.len() < spec.jobs.len(),
             "the kill must leave unfinished jobs ({} finished)",

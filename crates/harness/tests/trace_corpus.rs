@@ -7,7 +7,7 @@
 use ddrace_core::{AnalysisMode, RunResult, SimConfig, Simulation};
 use ddrace_harness::{fnv1a, run_campaign, Campaign, EventSink, TraceSource};
 use ddrace_program::{Addr, ThreadId, TraceEvent};
-use ddrace_trace::{decode_events_into, TraceWriter};
+use ddrace_trace::{decode_events_into, TraceRecord, TraceWriter};
 use ddrace_workloads::{racy, Scale, WorkloadSpec};
 use std::path::PathBuf;
 
@@ -120,7 +120,10 @@ fn trace_fingerprint_follows_content_not_path() {
         tid: ThreadId(0),
         parent: None,
     });
-    writer.record_hitm(0, Addr(0x40));
+    writer.record(&TraceRecord::HitmSample {
+        core: 0,
+        addr: Addr(0x40),
+    });
     let sampled = path.with_file_name("fp-hitm.ddrt");
     std::fs::write(&sampled, writer.finish().unwrap()).unwrap();
     assert_eq!(TraceSource::load(&sampled).unwrap().records, 2);

@@ -103,6 +103,16 @@ impl Telemetry {
         }
     }
 
+    /// A copy whose spans keep their counts but report zero nanoseconds:
+    /// the part of the spans that does not depend on the wall clock.
+    pub fn with_zeroed_span_times(&self) -> Telemetry {
+        let mut t = self.clone();
+        for s in t.spans.values_mut() {
+            s.total_ns = 0;
+        }
+        t
+    }
+
     /// The deterministic half only: counters, no wall-clock spans.
     pub fn counters_json(&self) -> Value {
         Value::Object(

@@ -62,6 +62,12 @@ pub const MIN_FORMAT_VERSION: u16 = 1;
 const ENDIAN_TAG: u16 = 0x1234;
 /// Default frame flush threshold in payload bytes.
 pub const DEFAULT_FLUSH_THRESHOLD: usize = 64 * 1024;
+/// Thread ids a trace may name: the reader refuses any id at or above
+/// this as [`TraceError::Corrupt`], at the id's byte offset. Replay
+/// indexes dense per-thread tables by thread id, so an unchecked id of
+/// 2^32 − 16 asks for 34–172 GB. The largest producer in the repository
+/// runs 64 threads.
+pub const MAX_THREADS: u32 = 1 << 16;
 
 const TAG_END: u8 = 0x00;
 const TAG_FRAME: u8 = 0x01;
@@ -97,9 +103,10 @@ const FIRST_V2_OPCODE: u8 = OP_ATOMIC_LOAD;
 
 /// One decoded trace record: an execution event, or a PMU metadata sample.
 ///
-/// HITM indicator samples are recorded alongside the event stream (they
-/// tell an offline consumer *where* the hardware saw sharing) but carry
-/// no happens-before content, so replay-for-detection skips them.
+/// HITM indicator samples sit alongside the event stream (they tell an
+/// offline consumer *where* the hardware saw sharing). No producer writes
+/// them, but readers decode and count them, so traces that hold them stay
+/// valid; replay skips them, since they carry no happens-before content.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceRecord {
     /// An execution event, exactly as the live run delivered it.
@@ -126,20 +133,6 @@ fn event_stream(e: &TraceEvent) -> u32 {
         | TraceEvent::ThreadFinished { tid } => tid.0,
         TraceEvent::BarrierReleased { participants, .. } => participants.first().map_or(0, |t| t.0),
     }
-}
-
-/// A sink the live producers feed: the simulator's event loop and the
-/// native monitor's hooks both push records here without caring whether
-/// the other end is a file, a socket, or an in-memory buffer.
-///
-/// Methods are infallible by design — producers sit on hot paths and
-/// cannot propagate I/O errors mid-run. [`TraceWriter`] stashes the first
-/// I/O error and surfaces it from [`TraceWriter::finish`].
-pub trait TraceSink {
-    /// Records one execution event.
-    fn event(&mut self, event: &TraceEvent);
-    /// Records one HITM indicator sample.
-    fn hitm(&mut self, core: u32, addr: Addr);
 }
 
 // ---------------------------------------------------------------------------
@@ -336,10 +329,17 @@ impl<W: Write> TraceWriter<W> {
 
     /// Appends one record. Infallible: I/O errors are stashed and
     /// surfaced by [`TraceWriter::finish`].
+    ///
+    /// No producer records HITM samples; this still encodes one so tests
+    /// can build traces that hold them.
     pub fn record(&mut self, record: &TraceRecord) {
         match record {
             TraceRecord::Event(event) => self.record_event(event),
-            TraceRecord::HitmSample { core, addr } => self.record_hitm(*core, *addr),
+            TraceRecord::HitmSample { core, addr } => self.record_raw(0, |buf| {
+                buf.push(OP_HITM_SAMPLE);
+                push_varint(buf, u64::from(*core));
+                push_varint(buf, addr.0);
+            }),
         }
     }
 
@@ -347,15 +347,6 @@ impl<W: Write> TraceWriter<W> {
     /// no intermediate [`TraceRecord`] (and no clone) on the hot path.
     pub fn record_event(&mut self, event: &TraceEvent) {
         self.record_raw(event_stream(event), |buf| encode_event(buf, event));
-    }
-
-    /// Appends one HITM indicator sample.
-    pub fn record_hitm(&mut self, core: u32, addr: Addr) {
-        self.record_raw(0, |buf| {
-            buf.push(OP_HITM_SAMPLE);
-            push_varint(buf, u64::from(core));
-            push_varint(buf, addr.0);
-        });
     }
 
     /// Records appended so far.
@@ -437,16 +428,6 @@ impl<W: Write> TraceWriter<W> {
         let mut out = self.out.take().expect("writer not yet finished");
         out.flush()?;
         Ok(out)
-    }
-}
-
-impl<W: Write> TraceSink for TraceWriter<W> {
-    fn event(&mut self, event: &TraceEvent) {
-        self.record_event(event);
-    }
-
-    fn hitm(&mut self, core: u32, addr: Addr) {
-        self.record_hitm(core, addr);
     }
 }
 
@@ -784,12 +765,10 @@ impl<R: Read> TraceReader<R> {
         let stream_count = self.input.read_varint("a frame's stream count")?;
         let mut order = Vec::new();
         for _ in 0..stream_count {
+            let at = self.input.offset;
             let tid = self.input.read_varint("a frame's stream table")?;
+            let tid = thread_id(tid, at, "stream thread id")?.0;
             let len = self.input.read_varint("a frame's stream table")?;
-            let tid = u32::try_from(tid).map_err(|_| TraceError::Corrupt {
-                offset: self.input.offset,
-                detail: format!("stream thread id {tid} exceeds u32"),
-            })?;
             order.push((tid, len));
         }
         let merge_len = self.input.read_varint("a frame's merge-order length")?;
@@ -802,16 +781,14 @@ impl<R: Read> TraceReader<R> {
             offset: 0,
         };
         while cursor.offset < merge_len {
+            let at = merge_base + cursor.offset;
             let tid = cursor
                 .read_varint("a merge-order run")
                 .map_err(|e| rebase(e, merge_base))?;
+            let tid = thread_id(tid, at, "merge-order thread id")?.0;
             let run = cursor
                 .read_varint("a merge-order run")
                 .map_err(|e| rebase(e, merge_base))?;
-            let tid = u32::try_from(tid).map_err(|_| TraceError::Corrupt {
-                offset: merge_base + cursor.offset,
-                detail: format!("merge-order thread id {tid} exceeds u32"),
-            })?;
             if run == 0 {
                 return Err(TraceError::Corrupt {
                     offset: merge_base + cursor.offset,
@@ -1094,11 +1071,12 @@ fn decode_body(
     let event = |op: Op| TraceRecord::Event(TraceEvent::Op { tid: tid_id, op });
     let record = match opcode {
         OP_THREAD_STARTED => {
+            let at = *cursor as u64;
             let parent = slice_varint(payload, cursor, "a thread-started record")?;
             let parent = if parent == 0 {
                 None
             } else {
-                Some(ThreadId(narrow(parent - 1, *cursor, "parent thread id")?))
+                Some(thread_id(parent - 1, at, "parent thread id")?)
             };
             TraceRecord::Event(TraceEvent::ThreadStarted {
                 tid: tid_id,
@@ -1146,18 +1124,10 @@ fn decode_body(
             })
         }
         OP_FORK => event(Op::Fork {
-            child: ThreadId(narrow(
-                slice_varint(payload, cursor, "a fork record")?,
-                *cursor,
-                "child thread id",
-            )?),
+            child: slice_thread_id(payload, cursor, "a fork record", "child thread id")?,
         }),
         OP_JOIN => event(Op::Join {
-            child: ThreadId(narrow(
-                slice_varint(payload, cursor, "a join record")?,
-                *cursor,
-                "child thread id",
-            )?),
+            child: slice_thread_id(payload, cursor, "a join record", "child thread id")?,
         }),
         OP_POST => event(Op::Post {
             sem: SemId(narrow(
@@ -1197,11 +1167,12 @@ fn decode_body(
             participants.clear();
             participants.reserve(count as usize);
             for _ in 0..count {
-                participants.push(ThreadId(narrow(
-                    slice_varint(payload, cursor, "a barrier-release participant")?,
-                    *cursor,
+                participants.push(slice_thread_id(
+                    payload,
+                    cursor,
+                    "a barrier-release participant",
                     "participant thread id",
-                )?));
+                )?);
             }
             TraceRecord::Event(TraceEvent::BarrierReleased {
                 barrier: BarrierId(barrier),
@@ -1293,6 +1264,30 @@ fn narrow(v: u64, offset: usize, what: &str) -> Result<u32, TraceError> {
         offset: offset as u64,
         detail: format!("{what} {v} exceeds u32"),
     })
+}
+
+/// Checks a decoded thread id against [`MAX_THREADS`]; `offset` is the
+/// id's first byte.
+fn thread_id(v: u64, offset: u64, what: &str) -> Result<ThreadId, TraceError> {
+    if v < u64::from(MAX_THREADS) {
+        Ok(ThreadId(v as u32))
+    } else {
+        Err(TraceError::Corrupt {
+            offset,
+            detail: format!("{what} {v} is at or above the limit of {MAX_THREADS} threads"),
+        })
+    }
+}
+
+/// Decodes one thread-id varint from a stream payload; see [`thread_id`].
+fn slice_thread_id(
+    payload: &[u8],
+    cursor: &mut usize,
+    context: &'static str,
+    what: &str,
+) -> Result<ThreadId, TraceError> {
+    let at = *cursor as u64;
+    thread_id(slice_varint(payload, cursor, context)?, at, what)
 }
 
 // ---------------------------------------------------------------------------
@@ -1612,6 +1607,55 @@ mod tests {
         let cut = &full[..full.len() - 3];
         let err = decode_events_into(cut, |_| {}).unwrap_err();
         assert!(err.to_string().ends_with("refusing to ingest"), "{err}");
+    }
+
+    #[test]
+    fn thread_ids_at_or_above_the_limit_are_refused_at_their_offset() {
+        use TraceEvent as E;
+        let (t0, limit, huge) = (ThreadId(0), ThreadId(MAX_THREADS), ThreadId(0xFFFF_FFF0));
+        let op = |tid, op| TraceRecord::Event(E::Op { tid, op });
+        let start = |tid, parent| TraceRecord::Event(E::ThreadStarted { tid, parent });
+        let release = |participants| {
+            TraceRecord::Event(E::BarrierReleased {
+                barrier: BarrierId(0),
+                participants,
+            })
+        };
+        // A lone read and a lone thread start by thread 2^32 - 16: each
+        // once aborted replay on a multi-gigabyte allocation.
+        let lone_read = ev(&[op(huge, Op::Read { addr: Addr(0x1000) })]);
+        let lone_start = ev(&[start(huge, None)]);
+        assert_eq!((lone_read.len(), lone_start.len()), (28, 27));
+        // One frame whose stream table is valid (thread 0, one byte) but
+        // whose 4-byte merge order holds the run (2^16, 1).
+        let frame = b"\x01\x01\x00\x01\x04\x80\x80\x04\x01";
+        let merge = [&ev(&[])[..8], frame, &[OP_THREAD_FINISHED, TAG_END, 1]].concat();
+        let cases = [
+            (lone_read, "stream thread id"),
+            (lone_start, "stream thread id"),
+            (merge, "merge-order thread id"),
+            (ev(&[start(t0, Some(limit))]), "parent thread id"),
+            (ev(&[op(t0, Op::Fork { child: limit })]), "child thread id"),
+            (ev(&[op(t0, Op::Join { child: huge })]), "child thread id"),
+            (ev(&[release(vec![t0, limit])]), "participant thread id"),
+        ];
+        for (bytes, what) in cases {
+            let Err(TraceError::Corrupt { offset, detail }) = decode(&bytes) else {
+                panic!("{what}: expected a corrupt-trace refusal");
+            };
+            assert!(detail.starts_with(what), "{detail}");
+            assert!(detail.contains("limit of 65536 threads"), "{detail}");
+            // The offset is the refused id's own varint (a parent is
+            // stored plus one); every other varint in these traces is small.
+            let mut at = CountingReader {
+                inner: &bytes[offset as usize..],
+                offset: 0,
+            };
+            assert!(at.read_varint("id").unwrap() >= u64::from(MAX_THREADS));
+        }
+        // One below the limit is an ordinary thread.
+        let last = [op(ThreadId(MAX_THREADS - 1), Op::Read { addr: Addr(8) })];
+        assert_eq!(decode(&ev(&last)).unwrap(), last);
     }
 
     #[test]

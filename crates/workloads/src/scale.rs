@@ -34,6 +34,34 @@ impl Scale {
         }
         (base * self.num / self.den).max(1)
     }
+
+    /// Parses a preset name as the CLI's `--scale` and the experiments'
+    /// `DDRACE_SCALE` spell it: `test`, `small`, or `large`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the bad value and the accepted names.
+    pub fn from_name(name: &str) -> Result<Scale, String> {
+        match name {
+            "test" => Ok(Scale::TEST),
+            "small" => Ok(Scale::SMALL),
+            "large" => Ok(Scale::LARGE),
+            other => Err(format!(
+                "unknown scale `{other}` (expected test, small, or large)"
+            )),
+        }
+    }
+
+    /// The preset name of this scale (inverse of [`Scale::from_name`]);
+    /// ad-hoc ratios print as `num/den`.
+    pub fn name(&self) -> String {
+        match *self {
+            Scale::TEST => "test".to_string(),
+            Scale::SMALL => "small".to_string(),
+            Scale::LARGE => "large".to_string(),
+            Scale { num, den } => format!("{num}/{den}"),
+        }
+    }
 }
 
 impl Default for Scale {
@@ -62,6 +90,18 @@ mod tests {
     #[test]
     fn default_is_small() {
         assert_eq!(Scale::default(), Scale::SMALL);
+    }
+
+    #[test]
+    fn names_round_trip_and_reject_unknown() {
+        for name in ["test", "small", "large"] {
+            assert_eq!(Scale::from_name(name).unwrap().name(), name);
+        }
+        // Near misses are errors, never a silent fallback to SMALL.
+        for bad in ["Large", "LARGE", "huge", ""] {
+            assert!(Scale::from_name(bad).is_err(), "{bad:?} must be rejected");
+        }
+        assert_eq!(Scale { num: 3, den: 2 }.name(), "3/2");
     }
 }
 

@@ -24,9 +24,9 @@
 
 use ddrace::program::{Scheduler, TraceEvent};
 use ddrace::{
-    replay, resume_campaign, run_campaign, AnalysisMode, CacheConfig, Campaign, ConfigPatch,
-    DetectorKind, EventSink, JobVariant, ResumeLog, RunResult, Scale, SchedulerConfig, SimConfig,
-    Simulation, TraceSource, TraceWriter, WorkloadSpec,
+    replay, resume_campaign, run_campaign, AnalysisMode, CacheConfig, Campaign, CampaignReport,
+    CheckpointLog, ConfigPatch, DetectorKind, EventSink, JobVariant, RunResult, Scale,
+    SchedulerConfig, SimConfig, Simulation, TraceSource, TraceWriter, WorkloadSpec,
 };
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -65,9 +65,10 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        // Refusals (invalid values on an otherwise well-formed command
-        // line) exit 2, matching the trace-refusal convention; plain
-        // usage errors exit 1 with the usage text.
+        // Refusals (corrupt or foreign traces, a --resume checkpoint from
+        // another run, invalid values on an otherwise well-formed command
+        // line) exit 2 with one `error:` line; plain usage errors exit 1
+        // with the usage text.
         Err(e) => match e.strip_prefix("refused: ") {
             Some(refusal) => {
                 eprintln!("error: {refusal}");
@@ -138,10 +139,14 @@ INGEST:     runs detection as an offline service over traces recorded
             FastTrack replay across N detection threads (0 = serial, the
             default); results are byte-identical at any worker count.
 
-RESUME:     --resume takes a prior run's --events JSONL stream; finished
-            jobs are restored from it (validated by spec fingerprint) and
-            only the remainder executes. The aggregate is byte-identical
-            to an uninterrupted run.
+RESUME:     --resume takes a prior run's --events JSONL stream (campaign,
+            ingest, fuzz); finished jobs are restored from it (validated
+            by spec fingerprint) and only the remainder executes. The
+            aggregate is byte-identical to an uninterrupted run. A
+            checkpoint that does not parse, or was recorded for a
+            different run, is refused (exit code 2). --resume may name
+            the --events path: the checkpoint is read before the new
+            stream is opened.
 
 VARIANTS:   --cores-sweep N,N,... reruns every (workload, mode, seed)
             cell at each simulated core count. --variants takes a preset
@@ -218,13 +223,24 @@ fn parse_mode(s: &str) -> Result<AnalysisMode, String> {
     })
 }
 
-fn parse_scale(s: &str) -> Result<Scale, String> {
-    Ok(match s {
-        "test" => Scale::TEST,
-        "small" => Scale::SMALL,
-        "large" => Scale::LARGE,
-        other => return Err(format!("unknown scale `{other}`")),
-    })
+/// Parses the numeric flag `--{key}`; `None` when it is absent.
+fn num_flag<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    key: &str,
+) -> Result<Option<T>, String> {
+    flags
+        .get(key)
+        .map(|s| s.parse().map_err(|_| format!("--{key} takes a number")))
+        .transpose()
+}
+
+/// `--workers`, defaulting to every available core.
+fn workers_flag(flags: &HashMap<String, String>) -> Result<usize, String> {
+    Ok(num_flag(flags, "workers")?.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    }))
 }
 
 fn parse_detector(s: &str) -> Result<DetectorKind, String> {
@@ -272,7 +288,7 @@ fn parse_variant(s: &str) -> Result<JobVariant, String> {
         match key {
             "cores" => patch.cores = Some(num(value)? as usize),
             "quantum" => patch.quantum = Some(num(value)? as u32),
-            "scale" => patch.scale = Some(parse_scale(value)?),
+            "scale" => patch.scale = Some(Scale::from_name(value)?),
             "detector" => patch.detector_kind = Some(parse_detector(value)?),
             "period" => {
                 let period = num(value)?;
@@ -346,26 +362,14 @@ fn parse_common(flags: &HashMap<String, String>) -> Result<Common, String> {
         ddrace::workloads::by_name(name)
             .ok_or_else(|| format!("unknown benchmark `{name}` (try `ddrace list`)"))?
     };
-    if let Some(n) = flags.get("inject-race") {
-        let pairs: u64 = n.parse().map_err(|_| "--inject-race takes a number")?;
+    if let Some(pairs) = num_flag(flags, "inject-race")? {
         spec = spec.with_injected_race(pairs);
     }
-    let scale = parse_scale(flags.get("scale").map(String::as_str).unwrap_or("small"))?;
-    let seed = flags
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| "--seed takes a number"))
-        .transpose()?
-        .unwrap_or(42);
-    let cores = flags
-        .get("cores")
-        .map(|s| s.parse().map_err(|_| "--cores takes a number"))
-        .transpose()?
-        .unwrap_or(8);
     Ok(Common {
         spec,
-        scale,
-        seed,
-        cores,
+        scale: Scale::from_name(flags.get("scale").map(String::as_str).unwrap_or("small"))?,
+        seed: num_flag(flags, "seed")?.unwrap_or(42),
+        cores: num_flag(flags, "cores")?.unwrap_or(8),
     })
 }
 
@@ -598,12 +602,8 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> Result<(), String> {
         .split(',')
         .map(parse_mode)
         .collect::<Result<Vec<_>, _>>()?;
-    let scale = parse_scale(flags.get("scale").map(String::as_str).unwrap_or("small"))?;
-    let seed: u64 = flags
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| "--seed takes a number"))
-        .transpose()?
-        .unwrap_or(42);
+    let scale = Scale::from_name(flags.get("scale").map(String::as_str).unwrap_or("small"))?;
+    let seed: u64 = num_flag(flags, "seed")?.unwrap_or(42);
     let seeds: Vec<u64> = match flags.get("seeds") {
         Some(list) => {
             if flags.contains_key("seed") {
@@ -621,20 +621,6 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> Result<(), String> {
         }
         None => vec![seed],
     };
-    let cores: usize = flags
-        .get("cores")
-        .map(|s| s.parse().map_err(|_| "--cores takes a number"))
-        .transpose()?
-        .unwrap_or(8);
-    let workers: usize = flags
-        .get("workers")
-        .map(|s| s.parse().map_err(|_| "--workers takes a number"))
-        .transpose()?
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        });
 
     let variants: Option<Vec<JobVariant>> = match (flags.get("variants"), flags.get("cores-sweep"))
     {
@@ -651,31 +637,47 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> Result<(), String> {
         .modes(modes)
         .seeds(seeds)
         .scale(scale)
-        .cores(cores);
+        .cores(num_flag(flags, "cores")?.unwrap_or(8));
     if let Some(variants) = variants {
         builder = builder.variants(variants);
     }
     if let Some(d) = flags.get("detector") {
         builder = builder.detector_kind(parse_detector(d)?);
     }
-    if let Some(t) = flags.get("timeout-secs") {
-        let secs: u64 = t.parse().map_err(|_| "--timeout-secs takes a number")?;
+    if let Some(secs) = num_flag(flags, "timeout-secs")? {
         builder = builder.timeout(std::time::Duration::from_secs(secs));
     }
-    let campaign = builder.build();
+    run_campaign_or_resume(flags, &builder.build(), false)
+}
 
-    // Read the resume log *before* opening --events: resuming a run into
-    // the same events path it came from must not truncate the checkpoint
-    // we are about to replay.
-    let resume_log = flags
-        .get("resume")
-        .map(|path| -> Result<ResumeLog, String> {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("--resume {path}: {e}"))?;
-            ResumeLog::parse(&text).map_err(|e| format!("--resume {path}: {e}"))
-        })
-        .transpose()?;
-
+/// The run-or-resume driver `campaign`, `ingest` and `fuzz` share.
+///
+/// It reads `--resume` *before* it opens `--events`, so resuming into the
+/// events path the checkpoint came from does not truncate the checkpoint
+/// first. It then builds the event sink (wall-clock fields zeroed when
+/// `deterministic`), runs `run` (which resumes when handed a checkpoint),
+/// writes the aggregate to `--out` or stdout, and returns the report so
+/// each command keeps its own exit checks.
+///
+/// A checkpoint that cannot be read, does not parse, or was recorded for
+/// a different run is refused: exit 2 with one `error:` line. `run` fails
+/// only on such a refusal.
+fn run_or_resume<R>(
+    flags: &HashMap<String, String>,
+    deterministic: bool,
+    run: impl FnOnce(&EventSink, Option<&CheckpointLog>) -> Result<R, String>,
+    aggregate: impl FnOnce(&R) -> ddrace::json::Value,
+) -> Result<R, String> {
+    let resume = match flags.get("resume") {
+        Some(path) => {
+            let log = std::fs::read_to_string(path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| CheckpointLog::parse(&text))
+                .map_err(|e| format!("refused: --resume {path}: {e}"))?;
+            Some((path, log))
+        }
+        None => None,
+    };
     let jsonl: Option<Box<dyn std::io::Write + Send>> = match flags.get("events") {
         Some(path) if path == "-" => Some(Box::new(std::io::stdout())),
         Some(path) => Some(Box::new(
@@ -683,31 +685,54 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> Result<(), String> {
         )),
         None => None,
     };
-    let sink = EventSink::new(jsonl, !flags.contains_key("quiet"));
-    let report = match &resume_log {
-        Some(log) => {
-            let skipped = log.finished.len();
-            let report = resume_campaign(&campaign, workers, &sink, log)?;
-            if !flags.contains_key("quiet") {
+    let quiet = flags.contains_key("quiet");
+    let mut sink = EventSink::new(jsonl, !quiet);
+    if deterministic {
+        sink = sink.with_deterministic_wall();
+    }
+    let report = match &resume {
+        None => run(&sink, None)?,
+        Some((path, log)) => {
+            let report =
+                run(&sink, Some(log)).map_err(|e| format!("refused: --resume {path}: {e}"))?;
+            if !quiet {
                 eprintln!(
-                    "resumed: {skipped} of {} job(s) restored from the checkpoint",
-                    campaign.jobs.len()
+                    "resumed: {} of {} job(s) restored from the checkpoint",
+                    log.finished.len(),
+                    log.jobs_total
                 );
             }
             report
         }
-        None => run_campaign(&campaign, workers, &sink),
     };
-
-    let aggregate =
-        ddrace::json::to_string_pretty(&report.aggregate_json()).map_err(|e| e.to_string())?;
+    let text = ddrace::json::to_string_pretty(&aggregate(&report)).map_err(|e| e.to_string())?;
     match flags.get("out") {
         Some(path) => {
-            std::fs::write(path, &aggregate).map_err(|e| format!("--out {path}: {e}"))?;
+            std::fs::write(path, &text).map_err(|e| format!("--out {path}: {e}"))?;
             eprintln!("aggregate written to {path}");
         }
-        None => println!("{aggregate}"),
+        None => println!("{text}"),
     }
+    Ok(report)
+}
+
+/// [`run_or_resume`] for a simulator campaign (`campaign` and `ingest`),
+/// on `--workers` threads; fails if any job failed.
+fn run_campaign_or_resume(
+    flags: &HashMap<String, String>,
+    campaign: &Campaign,
+    deterministic: bool,
+) -> Result<(), String> {
+    let workers = workers_flag(flags)?;
+    let report = run_or_resume(
+        flags,
+        deterministic,
+        |sink, log| match log {
+            Some(log) => resume_campaign(campaign, workers, sink, log),
+            None => Ok(run_campaign(campaign, workers, sink)),
+        },
+        CampaignReport::aggregate_json,
+    )?;
     if report.failed() > 0 {
         return Err(format!("{} job(s) failed", report.failed()));
     }
@@ -718,73 +743,20 @@ fn cmd_fuzz(flags: &HashMap<String, String>) -> Result<(), String> {
     if let Some(path) = flags.get("replay") {
         return cmd_fuzz_replay(path);
     }
-    let seed: u64 = flags
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| "--seed takes a number"))
-        .transpose()?
-        .unwrap_or(1);
-    let count: usize = flags
-        .get("count")
-        .map(|s| s.parse().map_err(|_| "--count takes a number"))
-        .transpose()?
-        .unwrap_or(200);
-    let workers: usize = flags
-        .get("workers")
-        .map(|s| s.parse().map_err(|_| "--workers takes a number"))
-        .transpose()?
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        });
-    let fault = ddrace::Fault::parse(flags.get("fault").map(String::as_str).unwrap_or("none"))?;
     let cfg = ddrace::FuzzConfig {
-        seed,
-        count,
-        workers,
-        fault,
-    };
-
-    // As in `campaign`: read the resume checkpoint *before* opening
-    // --events, so resuming into the path the checkpoint came from does
-    // not truncate it first.
-    let resume_log = flags
-        .get("resume")
-        .map(|path| -> Result<ddrace::harness::CheckpointLog, String> {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("--resume {path}: {e}"))?;
-            ddrace::harness::CheckpointLog::parse(&text)
-                .map_err(|e| format!("--resume {path}: {e}"))
-        })
-        .transpose()?;
-
-    let jsonl: Option<Box<dyn std::io::Write + Send>> = match flags.get("events") {
-        Some(path) if path == "-" => Some(Box::new(std::io::stdout())),
-        Some(path) => Some(Box::new(
-            std::fs::File::create(path).map_err(|e| format!("--events {path}: {e}"))?,
-        )),
-        None => None,
+        seed: num_flag(flags, "seed")?.unwrap_or(1),
+        count: num_flag(flags, "count")?.unwrap_or(200),
+        workers: workers_flag(flags)?,
+        fault: ddrace::Fault::parse(flags.get("fault").map(String::as_str).unwrap_or("none"))?,
     };
     // Fuzz events are deterministic down to the byte (the ci.sh smoke
     // stage diffs two runs), so wall-clock fields are zeroed.
-    let sink = EventSink::new(jsonl, !flags.contains_key("quiet")).with_deterministic_wall();
-    let skipped = resume_log.as_ref().map(|log| log.finished.len());
-    let report = ddrace::run_fuzz(&cfg, &sink, resume_log.as_ref())?;
-    if let Some(skipped) = skipped {
-        if !flags.contains_key("quiet") {
-            eprintln!("resumed: {skipped} of {count} spec(s) restored from the checkpoint");
-        }
-    }
-
-    let aggregate =
-        ddrace::json::to_string_pretty(&report.aggregate_json()).map_err(|e| e.to_string())?;
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, &aggregate).map_err(|e| format!("--out {path}: {e}"))?;
-            eprintln!("aggregate written to {path}");
-        }
-        None => println!("{aggregate}"),
-    }
+    let report = run_or_resume(
+        flags,
+        true,
+        |sink, log| ddrace::run_fuzz(&cfg, sink, log),
+        ddrace::conform::FuzzReport::aggregate_json,
+    )?;
 
     // Write one replayable reproducer file per failing spec.
     let repro_dir = flags.get("repro-dir").map(String::as_str).unwrap_or(".");
@@ -816,11 +788,11 @@ fn cmd_fuzz(flags: &HashMap<String, String>) -> Result<(), String> {
             "{} oracle violation(s) across {} of {} spec(s)",
             report.violations_total(),
             report.failing_outcomes().len(),
-            count
+            cfg.count
         ));
     }
     if !flags.contains_key("quiet") {
-        eprintln!("fuzz: {count} spec(s) checked, no oracle violations");
+        eprintln!("fuzz: {} spec(s) checked, no oracle violations", cfg.count);
     }
     Ok(())
 }
@@ -852,17 +824,12 @@ fn cmd_fuzz_replay(path: &str) -> Result<(), String> {
 
 fn cmd_analyze(flags: &HashMap<String, String>) -> Result<(), String> {
     let path = flags.get("trace").ok_or("--trace FILE is required")?;
-    let cores = flags
-        .get("cores")
-        .map(|s| s.parse().map_err(|_| "--cores takes a number"))
-        .transpose()?
-        .unwrap_or(8);
-    let cfg = sim_config(flags, cores, 0)?;
+    let cfg = sim_config(flags, num_flag(flags, "cores")?.unwrap_or(8), 0)?;
     let file = std::fs::File::open(path).map_err(|e| format!("--trace {path}: {e}"))?;
     // Streamed: events go to the detector as they decode, so peak memory
     // is one codec frame rather than the whole trace.
-    let result =
-        replay(std::io::BufReader::new(file), cfg, 0).unwrap_or_else(|e| refuse_trace(path, &e));
+    let result = replay(std::io::BufReader::new(file), cfg, 0)
+        .map_err(|e| format!("refused: trace {path}: {e}"))?;
     print_result(
         &result,
         flags.contains_key("json"),
@@ -871,22 +838,17 @@ fn cmd_analyze(flags: &HashMap<String, String>) -> Result<(), String> {
     )
 }
 
-/// Prints a corrupt/foreign-trace refusal and exits with code 2 — the
-/// same "refusing" contract (and exit code) as a failed `--resume`
-/// compatibility check, distinct from ordinary usage errors (exit 1).
-fn refuse_trace(path: &str, error: &ddrace::TraceError) -> ! {
-    eprintln!("error: trace {path}: {error}");
-    std::process::exit(2);
-}
-
 fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
     let list = flags
         .get("traces")
         .ok_or("--traces FILE[,FILE,...] is required")?;
-    let mut sources = Vec::new();
-    for path in list.split(',').map(str::trim) {
-        sources.push(TraceSource::load(path).unwrap_or_else(|e| refuse_trace(path, &e)));
-    }
+    // A corrupt or foreign trace is refused up front, like a foreign
+    // --resume checkpoint: exit 2 with the failing byte offset.
+    let sources = list
+        .split(',')
+        .map(str::trim)
+        .map(|path| TraceSource::load(path).map_err(|e| format!("refused: trace {path}: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
     let modes = flags
         .get("modes")
         .map(String::as_str)
@@ -901,32 +863,13 @@ fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
         .split(',')
         .map(parse_detector)
         .collect::<Result<Vec<_>, _>>()?;
-    let cores: usize = flags
-        .get("cores")
-        .map(|s| s.parse().map_err(|_| "--cores takes a number"))
-        .transpose()?
-        .unwrap_or(8);
-    let workers: usize = flags
-        .get("workers")
-        .map(|s| s.parse().map_err(|_| "--workers takes a number"))
-        .transpose()?
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        });
-    let replay_workers: usize = flags
-        .get("replay-workers")
-        .map(|s| s.parse().map_err(|_| "--replay-workers takes a number"))
-        .transpose()?
-        .unwrap_or(0);
 
     let mut builder = Campaign::builder("ingest")
         .trace_corpus(sources)
         .modes(modes)
         .seeds([0])
-        .cores(cores)
-        .replay_workers(replay_workers);
+        .cores(num_flag(flags, "cores")?.unwrap_or(8))
+        .replay_workers(num_flag(flags, "replay-workers")?.unwrap_or(0));
     match detectors.as_slice() {
         [single] => builder = builder.detector_kind(*single),
         many => {
@@ -948,58 +891,9 @@ fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
             }));
         }
     }
-    let campaign = builder.build();
-
-    // As in `campaign`: read the resume checkpoint *before* opening
-    // --events, so resuming into the path the checkpoint came from does
-    // not truncate it first.
-    let resume_log = flags
-        .get("resume")
-        .map(|path| -> Result<ResumeLog, String> {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("--resume {path}: {e}"))?;
-            ResumeLog::parse(&text).map_err(|e| format!("--resume {path}: {e}"))
-        })
-        .transpose()?;
-
-    let jsonl: Option<Box<dyn std::io::Write + Send>> = match flags.get("events") {
-        Some(path) if path == "-" => Some(Box::new(std::io::stdout())),
-        Some(path) => Some(Box::new(
-            std::fs::File::create(path).map_err(|e| format!("--events {path}: {e}"))?,
-        )),
-        None => None,
-    };
     // Replay is deterministic end to end, so the events stream is too:
     // wall-clock fields are zeroed as in `fuzz`.
-    let sink = EventSink::new(jsonl, !flags.contains_key("quiet")).with_deterministic_wall();
-    let report = match &resume_log {
-        Some(log) => {
-            let skipped = log.finished.len();
-            let report = resume_campaign(&campaign, workers, &sink, log)?;
-            if !flags.contains_key("quiet") {
-                eprintln!(
-                    "resumed: {skipped} of {} job(s) restored from the checkpoint",
-                    campaign.jobs.len()
-                );
-            }
-            report
-        }
-        None => run_campaign(&campaign, workers, &sink),
-    };
-
-    let aggregate =
-        ddrace::json::to_string_pretty(&report.aggregate_json()).map_err(|e| e.to_string())?;
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, &aggregate).map_err(|e| format!("--out {path}: {e}"))?;
-            eprintln!("aggregate written to {path}");
-        }
-        None => println!("{aggregate}"),
-    }
-    if report.failed() > 0 {
-        return Err(format!("{} job(s) failed", report.failed()));
-    }
-    Ok(())
+    run_campaign_or_resume(flags, &builder.build(), true)
 }
 
 #[cfg(test)]

@@ -79,12 +79,12 @@ pub use ddrace_detector::{
     DetectorConfig, FastTrack, Granularity, RaceDetector, RaceKind, RaceReport,
 };
 pub use ddrace_harness::{
-    replay, resume_campaign, run_campaign, Campaign, CampaignReport, ConfigPatch, EventSink, Job,
-    JobVariant, ResumeLog, TraceSource,
+    replay, resume_campaign, run_campaign, Campaign, CampaignReport, CheckpointLog, ConfigPatch,
+    EventSink, Job, JobVariant, TraceSource,
 };
 pub use ddrace_pmu::{IndicatorMode, SharingIndicator};
 pub use ddrace_program::{
     AccessKind, Addr, Op, Program, ProgramBuilder, ScheduleError, SchedulerConfig, ThreadId,
 };
-pub use ddrace_trace::{TraceError, TraceReader, TraceSink, TraceWriter};
+pub use ddrace_trace::{TraceError, TraceReader, TraceWriter};
 pub use ddrace_workloads::{archetypes, parsec, phoenix, racy, Scale, WorkloadSpec};

@@ -1,5 +1,6 @@
 //! End-to-end tests of the `ddrace` CLI binary.
 
+use ddrace::program::TraceEvent;
 use std::process::Command;
 
 fn ddrace() -> Command {
@@ -254,6 +255,47 @@ fn corrupt_traces_are_refused_with_exit_2() {
     assert!(stderr.contains("byte offset 18"), "{stderr}");
     assert!(stderr.contains("truncated"), "{stderr}");
 
+    // Well-formed traces naming thread 2^32 - 16: a lone read (28 bytes)
+    // and a lone thread start (27 bytes). Replay indexes per-thread
+    // tables by thread id, so both once aborted on a multi-gigabyte
+    // allocation; the reader now refuses ids at or above MAX_THREADS.
+    let huge = ddrace::ThreadId(0xFFFF_FFF0);
+    let hostile = [
+        TraceEvent::Op {
+            tid: huge,
+            op: ddrace::Op::Read {
+                addr: ddrace::Addr(0x1000),
+            },
+        },
+        TraceEvent::ThreadStarted {
+            tid: huge,
+            parent: None,
+        },
+    ];
+    for (i, event) in hostile.iter().enumerate() {
+        let mut writer = ddrace::TraceWriter::new(Vec::new()).unwrap();
+        writer.record_event(event);
+        let path = dir.join(format!("tid-{i}.ddrt"));
+        std::fs::write(&path, writer.finish().unwrap()).unwrap();
+        let stderr = refuse(&path);
+        assert!(stderr.contains("thread id 4294967280"), "{stderr}");
+        assert!(stderr.contains("byte offset 10"), "{stderr}");
+        for mode in ["native", "continuous", "demand-hitm", "demand-oracle"] {
+            let out = ddrace()
+                .args(["analyze", "--trace", path.to_str().unwrap()])
+                .args(["--mode", mode])
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "analyze --mode {mode}: {stderr}"
+            );
+            assert!(stderr.contains("refusing to ingest"), "{stderr}");
+        }
+    }
+
     // Foreign file: refused on the magic check.
     let foreign = dir.join("foreign.ddrt");
     std::fs::write(&foreign, b"PNG\x0d\x0a not ours").unwrap();
@@ -271,6 +313,64 @@ fn corrupt_traces_are_refused_with_exit_2() {
     assert_eq!(out.status.code(), Some(2), "non-DDRT input must exit 2");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("refusing to ingest"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn foreign_resume_checkpoints_are_refused_with_exit_2() {
+    let dir = std::env::temp_dir().join(format!("ddrace-cli-resume-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let d = dir.to_str().unwrap();
+    assert!(!d.contains(' '), "the command lines below split on spaces");
+    let cmd = |args: String| {
+        let mut c = ddrace();
+        c.args(args.split(' '));
+        c
+    };
+    // Exit 2 with one `error: --resume` line (no usage text) naming `why`.
+    let refused = |args: &str, checkpoint: &str, why: &str| {
+        let out = cmd(format!("{args} --workers 1 --quiet --resume {checkpoint}"))
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let one_line = stderr.lines().count() == 1 && stderr.starts_with("error: --resume ");
+        assert!(
+            out.status.code() == Some(2) && one_line && stderr.contains(why),
+            "{args}: {:?}: {stderr}",
+            out.status.code()
+        );
+    };
+    for bench in ["sparse_race", "unprotected_counter"] {
+        stdout_of(cmd(format!(
+            "record --bench {bench} --scale test --out {d}/{bench}.ddrt"
+        )));
+    }
+    // Each command writes a checkpoint, then resumes from it as a run
+    // with another seed or trace.
+    let campaign = "campaign --suite racy --scale test --modes native --seed";
+    let ingest = format!("ingest --traces {d}/");
+    let cases = [
+        (format!("{campaign} 1"), format!("{campaign} 2")),
+        (
+            format!("{ingest}sparse_race.ddrt"),
+            format!("{ingest}unprotected_counter.ddrt"),
+        ),
+        (
+            "fuzz --count 2 --seed 1".into(),
+            "fuzz --count 2 --seed 2".into(),
+        ),
+    ];
+    for (i, (first, second)) in cases.iter().enumerate() {
+        let events = format!("{d}/events-{i}.jsonl");
+        stdout_of(cmd(format!(
+            "{first} --workers 1 --quiet --events {events}"
+        )));
+        refused(second, &events, "refusing to resume");
+    }
+    // A file that is no checkpoint at all is refused the same way.
+    std::fs::write(dir.join("junk.jsonl"), "not a checkpoint\n").unwrap();
+    let junk = format!("{d}/junk.jsonl");
+    refused(&format!("{campaign} 1"), &junk, "no campaign_started event");
     std::fs::remove_dir_all(&dir).ok();
 }
 

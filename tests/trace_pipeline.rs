@@ -85,6 +85,39 @@ fn cli_record_bytes_match_the_trace_writer() {
     );
 }
 
+/// `ingest` promises a byte-reproducible event stream: wall-clock fields
+/// are zeroed, span times included (spans keep their counts), so two
+/// runs differ at most in line order.
+#[test]
+fn ingest_event_streams_are_byte_identical_when_sorted() {
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/trace_small.ddrt");
+    let sorted_events = |run: &str| {
+        let events = std::env::temp_dir().join(format!(
+            "ddrace-ingest-events-{}-{run}.jsonl",
+            std::process::id()
+        ));
+        let output = ddrace()
+            .args(["ingest", "--traces", golden.to_str().unwrap()])
+            .args(["--detectors", "fasttrack,djit", "--workers", &workers()])
+            .args(["--quiet", "--events", events.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(output.status.success(), "{output:?}");
+        let text = std::fs::read_to_string(&events).unwrap();
+        std::fs::remove_file(&events).ok();
+        let mut lines: Vec<String> = text.lines().map(String::from).collect();
+        lines.sort();
+        lines
+    };
+    let (first, second) = (sorted_events("a"), sorted_events("b"));
+    assert!(
+        first.iter().any(|l| l.contains("\"job.replay\"")),
+        "{first:?}"
+    );
+    let differ = first.iter().zip(&second).find(|(a, b)| a != b);
+    assert!(first == second, "the runs' streams differ: {differ:?}");
+}
+
 #[test]
 fn ingest_resume_is_byte_identical() {
     let dir = std::env::temp_dir().join(format!(
