@@ -57,6 +57,15 @@ DDRACE_SCALE=test DDRACE_RESULTS_DIR="$A3_SMOKE_DIR" \
     cargo run --release -q -p ddrace-bench --bin exp_a3_cache_sweep
 rm -rf "$A3_SMOKE_DIR"
 
+# Every experiment binary end to end at test scale, through exp_all
+# (exit 0 only if all of them succeed). exp_a6_prefetch is the only
+# product path that runs the next-line prefetcher.
+echo "==> experiment binaries (exp_all at test scale)"
+cargo build --release -q -p ddrace-bench
+EXP_SMOKE_DIR=$(mktemp -d)
+DDRACE_SCALE=test DDRACE_RESULTS_DIR="$EXP_SMOKE_DIR" ./target/release/exp_all > /dev/null
+rm -rf "$EXP_SMOKE_DIR"
+
 # Conformance fuzz smoke: a fixed-seed battery of generated specs through
 # the differential/metamorphic oracles. The generator's archetype wheel
 # includes the memory-model shapes (Channel, TaskPool, Publication plus

@@ -9,18 +9,23 @@
 //!
 //! Environment knobs:
 //!
-//! * `DDRACE_SCALE` — `test`, `small` (default), or `large`; anything
-//!   else is an error (exit 2), never a silent fallback;
+//! * `DDRACE_SCALE` — `test`, `small` (default), or `large`;
 //! * `DDRACE_SEED` — base RNG seed (default 42);
 //! * `DDRACE_SEEDS` — comma-separated seed axis for campaign-backed
 //!   experiments (default: just `DDRACE_SEED`);
-//! * `DDRACE_CORES` — simulated cores (default 8);
-//! * `DDRACE_WORKERS` — host worker threads (default: all cores);
+//! * `DDRACE_CORES` — simulated cores, 1 to 64 (default 8);
+//! * `DDRACE_WORKERS` — host worker threads, at least 1 (default: all
+//!   cores);
 //! * `DDRACE_EVENTS` — JSONL event-stream path for campaign-backed
 //!   experiments (doubles as a resume checkpoint);
 //! * `DDRACE_RESUME` — a prior `DDRACE_EVENTS` stream to restore
 //!   finished jobs from;
 //! * `DDRACE_RESULTS_DIR` — where JSON dumps go (default `results/`).
+//!
+//! A malformed or out-of-range value of any of the first five is an
+//! error (exit 2), never a silent fallback to the default: that would
+//! run a different, possibly hours-long, experiment than the one asked
+//! for.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -52,25 +57,23 @@ pub struct ExpContext {
 impl ExpContext {
     /// Reads the context from `DDRACE_*` environment variables.
     ///
-    /// An unrecognized `DDRACE_SCALE` value terminates the process with
-    /// exit code 2: a typo like `DDRACE_SCALE=Large` used to silently run
-    /// at SMALL, wasting the whole (possibly hours-long) experiment.
+    /// A malformed `DDRACE_SCALE`, `DDRACE_SEED` or `DDRACE_CORES`, or a
+    /// core count the simulator refuses, terminates the process with exit
+    /// code 2, so a typo like `DDRACE_SCALE=Large` cannot silently run a
+    /// different experiment at SMALL.
     pub fn from_env() -> Self {
-        let scale = match std::env::var("DDRACE_SCALE") {
-            Ok(name) => Scale::from_name(&name).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }),
-            Err(_) => Scale::SMALL,
-        };
-        let seed = std::env::var("DDRACE_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(42);
-        let cores = std::env::var("DDRACE_CORES")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(8);
+        let scale = env_or("DDRACE_SCALE", Scale::SMALL, Scale::from_name);
+        let seed = env_or("DDRACE_SEED", 42, |s| {
+            s.parse().map_err(|_| format!("takes a number, got `{s}`"))
+        });
+        let cores = env_or("DDRACE_CORES", 8, |s| {
+            let cores = s
+                .parse()
+                .map_err(|_| format!("takes a number, got `{s}`"))?;
+            SimConfig::new(cores, AnalysisMode::Native)
+                .validate()
+                .map(|()| cores)
+        });
         ExpContext { scale, seed, cores }
     }
 
@@ -78,11 +81,7 @@ impl ExpContext {
     /// the context seed, so interleavings vary by seed but are
     /// reproducible.
     pub fn scheduler(&self) -> SchedulerConfig {
-        SchedulerConfig {
-            quantum: 32,
-            seed: self.seed,
-            jitter: true,
-        }
+        SchedulerConfig::jittered(self.seed)
     }
 
     /// A simulation config for `mode` under this context.
@@ -142,22 +141,12 @@ pub fn cap_scale(scale: Scale, cap: Scale) -> (Scale, bool) {
 /// list terminates the process with exit code 2 rather than silently
 /// running a different sweep than asked for.
 pub fn seeds_from_env(base: u64) -> Vec<u64> {
-    match std::env::var("DDRACE_SEEDS") {
-        Ok(list) => {
-            let seeds: Result<Vec<u64>, _> = list.split(',').map(|s| s.trim().parse()).collect();
-            match seeds {
-                Ok(seeds) if !seeds.is_empty() => seeds,
-                _ => {
-                    eprintln!(
-                        "error: DDRACE_SEEDS takes comma-separated numbers, e.g. 1,2,3 \
-                         (got `{list}`)"
-                    );
-                    std::process::exit(2);
-                }
-            }
-        }
-        Err(_) => vec![base],
-    }
+    env_or("DDRACE_SEEDS", vec![base], |list| {
+        list.split(',')
+            .map(|s| s.trim().parse())
+            .collect::<Result<_, _>>()
+            .map_err(|_| format!("takes comma-separated numbers, e.g. 1,2,3 (got `{list}`)"))
+    })
 }
 
 /// Runs an experiment campaign with the shared environment plumbing:
@@ -165,15 +154,16 @@ pub fn seeds_from_env(base: u64) -> Vec<u64> {
 /// `DDRACE_EVENTS` (making the run checkpointable), and resume from a
 /// prior stream named by `DDRACE_RESUME`.
 ///
-/// The resume log is read *before* the events path is opened, so
-/// resuming a run into the same path it came from does not truncate
-/// the checkpoint being replayed.
+/// Every setting is read and checked *before* the events path is
+/// opened, so neither resuming a run into the same path it came from
+/// nor a refused `DDRACE_WORKERS` truncates the checkpoint.
 ///
 /// # Panics
 ///
 /// Panics if any job fails — experiment workloads are expected to be
 /// well-formed. Bad resume/events paths terminate with exit code 2.
 pub fn run_exp_campaign(campaign: &Campaign) -> CampaignReport {
+    let workers = host_workers();
     let resume_log = std::env::var("DDRACE_RESUME").ok().map(|path| {
         let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
             eprintln!("error: DDRACE_RESUME {path}: {e}");
@@ -195,11 +185,11 @@ pub fn run_exp_campaign(campaign: &Campaign) -> CampaignReport {
             });
     let sink = EventSink::new(jsonl, false);
     let report = match &resume_log {
-        Some(log) => resume_campaign(campaign, host_workers(), &sink, log).unwrap_or_else(|e| {
+        Some(log) => resume_campaign(campaign, workers, &sink, log).unwrap_or_else(|e| {
             eprintln!("error: DDRACE_RESUME does not match this campaign: {e}");
             std::process::exit(2);
         }),
-        None => run_campaign(campaign, host_workers(), &sink),
+        None => run_campaign(campaign, workers, &sink),
     };
     for record in &report.records {
         if let Err(reason) = &record.outcome {
@@ -210,17 +200,29 @@ pub fn run_exp_campaign(campaign: &Campaign) -> CampaignReport {
 }
 
 /// Host worker-thread count for campaign execution: `DDRACE_WORKERS`, or
-/// every available core.
+/// every available core. A value that is not a positive number
+/// terminates the process with exit code 2.
 pub fn host_workers() -> usize {
-    std::env::var("DDRACE_WORKERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        })
+    let all = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4);
+    env_or("DDRACE_WORKERS", all, |s| match s.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("takes a positive number, got `{s}`")),
+    })
+}
+
+/// The value of environment variable `name` as `parse` reads it, or
+/// `default` when it is unset. A value `parse` refuses terminates the
+/// process with exit code 2 and one `error:` line naming the variable.
+fn env_or<T>(name: &str, default: T, parse: impl FnOnce(&str) -> Result<T, String>) -> T {
+    match std::env::var(name) {
+        Ok(value) => parse(&value).unwrap_or_else(|e| {
+            eprintln!("error: {name}: {e}");
+            std::process::exit(2);
+        }),
+        Err(_) => default,
+    }
 }
 
 /// Runs every workload under every mode on the campaign harness's worker

@@ -47,7 +47,9 @@ impl<T> CacheArray<T> {
     ///
     /// Panics if the geometry is invalid (see [`LevelConfig::validate`]).
     pub fn new(config: LevelConfig) -> Self {
-        config.validate("cache array");
+        config
+            .validate("cache array")
+            .unwrap_or_else(|e| panic!("{e}"));
         CacheArray {
             sets: (0..config.sets)
                 .map(|_| Vec::with_capacity(config.ways))

@@ -31,18 +31,23 @@ impl LevelConfig {
         self.lines() as u64 * line_size
     }
 
-    /// Validates the geometry, panicking with a descriptive message if it
-    /// is unusable.
+    /// Checks the geometry.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `sets` is not a power of two or either dimension is zero.
-    pub fn validate(&self, name: &str) {
-        assert!(
-            self.sets.is_power_of_two(),
-            "{name}: sets must be a power of two"
-        );
-        assert!(self.ways > 0, "{name}: ways must be positive");
+    /// Returns a message naming the level `name` if `sets` is not a power
+    /// of two or `ways` is zero.
+    pub fn validate(&self, name: &str) -> Result<(), String> {
+        if !self.sets.is_power_of_two() {
+            return Err(format!(
+                "{name}: sets must be a power of two, got {}",
+                self.sets
+            ));
+        }
+        if self.ways == 0 {
+            return Err(format!("{name}: ways must be positive"));
+        }
+        Ok(())
     }
 }
 
@@ -50,7 +55,12 @@ impl LevelConfig {
 ///
 /// Defaults model a Nehalem-class part, the microarchitecture the paper's
 /// `MEM_UNCORE_RETIRED.OTHER_CORE_L2_HITM` event belongs to: 32 KiB L1 and
-/// 256 KiB L2 per core, shared inclusive 8 MiB L3, 64-byte lines.
+/// 256 KiB L2 per core, shared inclusive 8 MiB L3, 64-byte lines. The
+/// ground-truth sharing tracker (the oracle indicator) is always on.
+///
+/// The constructors do not check their input; [`CacheConfig::validate`]
+/// does, and [`CacheHierarchy::new`](crate::CacheHierarchy::new) panics
+/// on a config it refuses.
 ///
 /// # Examples
 ///
@@ -61,6 +71,7 @@ impl LevelConfig {
 /// assert_eq!(cfg.line_size, 64);
 /// let tiny = CacheConfig::tiny(2);
 /// assert!(tiny.l1.lines() < cfg.l1.lines());
+/// assert!(CacheConfig::nehalem(65).validate().is_err());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -82,9 +93,6 @@ pub struct CacheConfig {
     pub upgrade_latency: u32,
     /// Extra cycles for an atomic (locked) access.
     pub atomic_latency: u32,
-    /// Whether to maintain the ground-truth sharing tracker (the oracle
-    /// indicator). Costs one hash-map lookup per access.
-    pub track_sharing: bool,
     /// Enable the next-line hardware prefetcher: every private-cache miss
     /// also pulls the following line into the requesting core's L2.
     /// Prefetches that hit a remote **modified** line downgrade it early,
@@ -96,12 +104,8 @@ pub struct CacheConfig {
 
 impl CacheConfig {
     /// Nehalem-class configuration for `cores` cores.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is 0 or greater than 64.
     pub fn nehalem(cores: usize) -> Self {
-        let cfg = CacheConfig {
+        CacheConfig {
             cores,
             line_size: 64,
             l1: LevelConfig {
@@ -123,21 +127,14 @@ impl CacheConfig {
             c2c_latency: 60,
             upgrade_latency: 20,
             atomic_latency: 8,
-            track_sharing: true,
             prefetch_next_line: false,
-        };
-        cfg.validate();
-        cfg
+        }
     }
 
     /// A deliberately tiny hierarchy for unit tests: high eviction pressure
     /// with only a handful of accesses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is 0 or greater than 64.
     pub fn tiny(cores: usize) -> Self {
-        let cfg = CacheConfig {
+        CacheConfig {
             cores,
             line_size: 64,
             l1: LevelConfig {
@@ -159,36 +156,35 @@ impl CacheConfig {
             c2c_latency: 60,
             upgrade_latency: 20,
             atomic_latency: 8,
-            track_sharing: true,
             prefetch_next_line: false,
-        };
-        cfg.validate();
-        cfg
+        }
     }
 
-    /// Validates the whole configuration.
+    /// Checks the whole configuration.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any dimension is unusable, if `cores` is 0 or exceeds 64
-    /// (the directory presence mask is a `u64`), or if the L3 is smaller
-    /// than a single private L2 (inclusion would thrash pathologically).
-    pub fn validate(&self) {
-        assert!(
-            self.cores >= 1 && self.cores <= 64,
-            "cores must be in 1..=64"
-        );
-        assert!(
-            self.line_size.is_power_of_two(),
-            "line size must be a power of two"
-        );
-        self.l1.validate("L1");
-        self.l2.validate("L2");
-        self.l3.validate("L3");
-        assert!(
-            self.l3.lines() >= self.l2.lines(),
-            "inclusive L3 must be at least as large as one private L2"
-        );
+    /// Returns a message if any dimension is unusable, if `cores` is 0 or
+    /// exceeds 64 (the directory presence mask is a `u64`), or if the L3
+    /// is smaller than a single private L2 (inclusion would thrash
+    /// pathologically).
+    pub fn validate(&self) -> Result<(), String> {
+        if !(1..=64).contains(&self.cores) {
+            return Err(format!("cores must be in 1..=64, got {}", self.cores));
+        }
+        if !self.line_size.is_power_of_two() {
+            return Err(format!(
+                "line size must be a power of two, got {}",
+                self.line_size
+            ));
+        }
+        self.l1.validate("L1")?;
+        self.l2.validate("L2")?;
+        self.l3.validate("L3")?;
+        if self.l3.lines() < self.l2.lines() {
+            return Err("inclusive L3 must be at least as large as one private L2".to_string());
+        }
+        Ok(())
     }
 }
 
@@ -216,43 +212,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cores must be in 1..=64")]
-    fn zero_cores_rejected() {
-        CacheConfig {
-            cores: 0,
-            ..CacheConfig::nehalem(1)
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "cores must be in 1..=64")]
-    fn too_many_cores_rejected() {
-        CacheConfig {
-            cores: 65,
-            ..CacheConfig::nehalem(1)
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn bad_sets_rejected() {
-        let mut cfg = CacheConfig::tiny(1);
-        cfg.l1.sets = 3;
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "inclusive L3")]
-    fn l3_smaller_than_l2_rejected() {
-        let mut cfg = CacheConfig::tiny(1);
-        cfg.l3 = LevelConfig {
-            sets: 1,
-            ways: 1,
-            latency: 40,
+    fn bad_configs_are_refused() {
+        let l3_below_l2 = CacheConfig {
+            l3: LevelConfig {
+                sets: 1,
+                ways: 1,
+                latency: 40,
+            },
+            ..CacheConfig::tiny(1)
         };
-        cfg.validate();
+        let mut bad_sets = CacheConfig::tiny(1);
+        bad_sets.l1.sets = 3;
+        let mut no_ways = CacheConfig::tiny(1);
+        no_ways.l2.ways = 0;
+        for (cfg, want) in [
+            (CacheConfig::nehalem(0), "cores must be in 1..=64, got 0"),
+            (CacheConfig::nehalem(65), "cores must be in 1..=64, got 65"),
+            (bad_sets, "L1: sets must be a power of two, got 3"),
+            (no_ways, "L2: ways must be positive"),
+            (l3_below_l2, "inclusive L3"),
+        ] {
+            let err = cfg.validate().expect_err(want);
+            assert!(err.contains(want), "`{err}` should say `{want}`");
+        }
+        assert_eq!(CacheConfig::nehalem(64).validate(), Ok(()));
+        assert_eq!(CacheConfig::tiny(1).validate(), Ok(()));
     }
 }
 
@@ -271,6 +255,5 @@ ddrace_json::json_struct!(CacheConfig {
     c2c_latency,
     upgrade_latency,
     atomic_latency,
-    track_sharing,
     prefetch_next_line
 });

@@ -105,8 +105,8 @@ pub struct AccessResult {
     pub rfo_hitm_owner: Option<CoreId>,
     /// Remote private-cache copies invalidated by this access.
     pub invalidations: u32,
-    /// Ground-truth sharing exhibited by this access, if tracking is on.
-    /// A write can exhibit both W→W and R→W; the tuple covers that.
+    /// Ground-truth sharing exhibited by this access. A write can exhibit
+    /// both W→W and R→W; the tuple covers that.
     pub sharing: (Option<SharingKind>, Option<SharingKind>),
 }
 

@@ -65,7 +65,7 @@ pub struct CacheHierarchy {
     l1: Vec<CacheArray<()>>,
     l2: Vec<CacheArray<MesiState>>,
     l3: CacheArray<DirEntry>,
-    tracker: Option<SharingTracker>,
+    tracker: SharingTracker,
     stats: CacheStats,
 }
 
@@ -76,7 +76,9 @@ impl CacheHierarchy {
     ///
     /// Panics if `config` is invalid (see [`CacheConfig::validate`]).
     pub fn new(config: CacheConfig) -> Self {
-        config.validate();
+        config
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid cache config: {e}"));
         CacheHierarchy {
             line_shift: config.line_size.trailing_zeros(),
             l1: (0..config.cores)
@@ -86,7 +88,7 @@ impl CacheHierarchy {
                 .map(|_| CacheArray::new(config.l2))
                 .collect(),
             l3: CacheArray::new(config.l3),
-            tracker: config.track_sharing.then(SharingTracker::new),
+            tracker: SharingTracker::new(),
             stats: CacheStats::new(config.cores),
             config,
         }
@@ -117,17 +119,10 @@ impl CacheHierarchy {
         let line = self.line_of(addr);
         let is_write = kind.is_write();
 
-        // Ground truth first: independent of cache contents.
-        let sharing = self.track_sharing(core, line, kind);
-
         let mut result = AccessResult {
-            latency: 0,
-            hit: HitWhere::L1,
-            line,
-            hitm_owner: None,
-            rfo_hitm_owner: None,
-            invalidations: 0,
-            sharing,
+            // Ground truth first: independent of cache contents.
+            sharing: self.track_sharing(core, line, kind),
+            ..blank_result(line)
         };
 
         if self.l1[core.index()].get(line).is_some() {
@@ -169,35 +164,37 @@ impl CacheHierarchy {
             cs.rfo_hitms += 1;
         }
         cs.total_latency += u64::from(result.latency);
-        if let Some(t) = &self.tracker {
-            self.stats.sharing = t.counts();
-        }
         result
     }
 
+    /// Classifies the access's ground-truth communication and adds it to
+    /// the sharing totals in [`CacheStats::sharing`].
     fn track_sharing(
         &mut self,
         core: CoreId,
         line: u64,
         kind: AccessKind,
     ) -> (Option<SharingKind>, Option<SharingKind>) {
-        let Some(tracker) = &mut self.tracker else {
-            return (None, None);
-        };
-        match kind {
-            AccessKind::Read | AccessKind::RelaxedLoad => (tracker.on_read(core, line), None),
-            AccessKind::Write | AccessKind::RelaxedStore => tracker.on_write(core, line),
-            AccessKind::AtomicRmw | AccessKind::RelaxedRmw => {
-                // The read half first, then the write half. If both the
-                // read (W→R) and the write (W→W) see the same remote
-                // writer, report the W→R — it is the same communication.
-                // Memory ordering is irrelevant here: relaxed RMWs have the
-                // same coherence footprint as acquire-release ones.
-                let wr = tracker.on_read(core, line);
-                let (ww, rw) = tracker.on_write(core, line);
-                (wr.or(ww), rw)
+        let tracker = &mut self.tracker;
+        let (wr, (ww, rw)) = match kind {
+            AccessKind::Read | AccessKind::RelaxedLoad => {
+                (tracker.on_read(core, line), (None, None))
             }
-        }
+            AccessKind::Write | AccessKind::RelaxedStore => (None, tracker.on_write(core, line)),
+            // The read half first, then the write half. Memory ordering is
+            // irrelevant here: relaxed RMWs have the same coherence
+            // footprint as acquire-release ones.
+            AccessKind::AtomicRmw | AccessKind::RelaxedRmw => {
+                (tracker.on_read(core, line), tracker.on_write(core, line))
+            }
+        };
+        let totals = &mut self.stats.sharing;
+        totals.write_read += u64::from(wr.is_some());
+        totals.write_write += u64::from(ww.is_some());
+        totals.read_write += u64::from(rw.is_some());
+        // If an RMW's read (W→R) and write (W→W) see the same remote
+        // writer, report the W→R: it is the same communication.
+        (wr.or(ww), rw)
     }
 
     /// Handles an access whose line is present in the requesting core's
@@ -355,58 +352,20 @@ impl CacheHierarchy {
     }
 
     /// Pulls `line` into `core`'s L2 with read intent, off the critical
-    /// path (no latency charged, no sharing-tracker update, no PMU-visible
-    /// HITM). A prefetch that hits a remote Modified line downgrades it —
-    /// the "stolen" HITM the retired-load counter will now never see.
+    /// path: the miss protocol of a load, with no latency charged, no
+    /// sharing-tracker update and no PMU-visible HITM. A prefetch that
+    /// hits a remote Modified line downgrades it — the "stolen" HITM the
+    /// retired-load counter will now never see.
     fn prefetch(&mut self, core: CoreId, line: u64) {
         if self.l1[core.index()].contains(line) || self.l2[core.index()].contains(line) {
             return;
         }
         self.stats.prefetches += 1;
-        let my_bit = 1u64 << core.index();
-        let new_state;
-        if let Some(dir) = self.l3.get_mut(line) {
-            let dir = *dir;
-            match dir.owner {
-                Some(owner) if owner != core => {
-                    let owner_state = *self.l2[owner.index()]
-                        .peek(line)
-                        .expect("directory owner must hold the line");
-                    if owner_state == MesiState::Modified {
-                        self.stats.prefetch_steals += 1;
-                    }
-                    *self.l2[owner.index()].peek_mut(line).expect("present") = MesiState::Shared;
-                    let d = self.l3.peek_mut(line).expect("present");
-                    d.presence |= my_bit;
-                    d.owner = None;
-                    if owner_state == MesiState::Modified {
-                        d.dirty = true;
-                    }
-                    new_state = MesiState::Shared;
-                }
-                _ => {
-                    let d = self.l3.peek_mut(line).expect("present");
-                    if d.presence == 0 {
-                        d.owner = Some(core);
-                        new_state = MesiState::Exclusive;
-                    } else {
-                        new_state = MesiState::Shared;
-                    }
-                    d.presence |= my_bit;
-                }
-            }
-        } else {
-            new_state = MesiState::Exclusive;
-            let entry = DirEntry {
-                presence: my_bit,
-                owner: Some(core),
-                dirty: false,
-            };
-            if let Some((victim_line, victim)) = self.l3.insert(line, entry) {
-                self.evict_l3_victim(victim_line, victim);
-            }
+        let mut scratch = blank_result(line);
+        self.access_miss(core, line, false, false, &mut scratch);
+        if scratch.hitm_owner.is_some() {
+            self.stats.prefetch_steals += 1;
         }
-        self.fill_l2(core, line, new_state);
     }
 
     /// Installs `line` in `core`'s L2, handling the eviction of the victim
@@ -556,6 +515,19 @@ impl CacheHierarchy {
             }
         }
         Ok(())
+    }
+}
+
+/// The outcome of an access to `line` before the hierarchy fills it in.
+fn blank_result(line: u64) -> AccessResult {
+    AccessResult {
+        latency: 0,
+        hit: HitWhere::L1,
+        line,
+        hitm_owner: None,
+        rfo_hitm_owner: None,
+        invalidations: 0,
+        sharing: (None, None),
     }
 }
 
@@ -751,15 +723,30 @@ mod tests {
     }
 
     #[test]
-    fn sharing_tracking_can_be_disabled() {
-        let mut cfg = CacheConfig::nehalem(2);
-        cfg.track_sharing = false;
-        let mut m = CacheHierarchy::new(cfg);
-        m.access(C0, Addr(0x1000), AccessKind::Write);
-        let r = m.access(C1, Addr(0x1000), AccessKind::Read);
-        assert_eq!(r.sharing, (None, None));
-        assert_eq!(r.hitm_owner, Some(C0)); // HITM unaffected
-        assert_eq!(m.stats().sharing.total(), 0);
+    fn sharing_totals_count_every_classified_event() {
+        let mut m = mem(3);
+        let a = Addr(0x1000);
+        m.access(C0, a, AccessKind::Write);
+        // W→R: one communication, reported and counted.
+        let r = m.access(C1, a, AccessKind::Read);
+        assert_eq!(r.sharing, (Some(SharingKind::WriteRead), None));
+        // An RMW by a third core is a fresh W→R on its read half, and
+        // W→W plus R→W (C1 read it) on its write half. The access reports
+        // the W→R for the first two, yet all three are counted.
+        let r = m.access(C2, a, AccessKind::AtomicRmw);
+        assert_eq!(
+            r.sharing,
+            (Some(SharingKind::WriteRead), Some(SharingKind::ReadWrite))
+        );
+        let totals = m.stats().sharing;
+        assert_eq!(
+            (totals.write_read, totals.write_write, totals.read_write),
+            (2, 1, 1)
+        );
+        // Private re-accesses are no communication.
+        m.access(C2, a, AccessKind::Write);
+        m.access(C2, a, AccessKind::Read);
+        assert_eq!(m.stats().sharing.total(), 4);
     }
 
     #[test]

@@ -41,10 +41,10 @@ struct LineHistory {
 #[derive(Debug, Clone, Default)]
 pub struct SharingTracker {
     lines: ShadowTable<LineHistory>,
-    counts: SharingCounts,
 }
 
-/// Totals of ground-truth sharing events by kind.
+/// Totals of ground-truth sharing events by kind; the cache hierarchy
+/// keeps them in [`CacheStats::sharing`](crate::CacheStats::sharing).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharingCounts {
     /// Write→read communications.
@@ -76,10 +76,7 @@ impl SharingTracker {
         let fresh = h.readers_since_write & bit == 0;
         h.readers_since_write |= bit;
         match h.last_writer {
-            Some(w) if w != core && fresh => {
-                self.counts.write_read += 1;
-                Some(SharingKind::WriteRead)
-            }
+            Some(w) if w != core && fresh => Some(SharingKind::WriteRead),
             _ => None,
         }
     }
@@ -94,27 +91,14 @@ impl SharingTracker {
         let h = self.lines.get_or_insert_with(line, LineHistory::default);
         let bit = 1u64 << core.index();
         let ww = match h.last_writer {
-            Some(w) if w != core => {
-                self.counts.write_write += 1;
-                Some(SharingKind::WriteWrite)
-            }
+            Some(w) if w != core => Some(SharingKind::WriteWrite),
             _ => None,
         };
         let remote_readers = h.readers_since_write & !bit;
-        let rw = if remote_readers != 0 {
-            self.counts.read_write += 1;
-            Some(SharingKind::ReadWrite)
-        } else {
-            None
-        };
+        let rw = (remote_readers != 0).then_some(SharingKind::ReadWrite);
         h.last_writer = Some(core);
         h.readers_since_write = 0;
         (ww, rw)
-    }
-
-    /// The totals accumulated so far.
-    pub fn counts(&self) -> SharingCounts {
-        self.counts
     }
 
     /// Number of distinct lines ever touched.
@@ -139,7 +123,6 @@ mod tests {
             assert_eq!(t.on_read(C0, i), None);
             assert_eq!(t.on_write(C0, i), (None, None));
         }
-        assert_eq!(t.counts().total(), 0);
         assert_eq!(t.lines_tracked(), 100);
     }
 
@@ -150,7 +133,6 @@ mod tests {
         assert_eq!(t.on_read(C1, 5), Some(SharingKind::WriteRead));
         assert_eq!(t.on_read(C1, 5), None);
         assert_eq!(t.on_read(C2, 5), Some(SharingKind::WriteRead));
-        assert_eq!(t.counts().write_read, 2);
     }
 
     #[test]
@@ -173,7 +155,6 @@ mod tests {
         let (ww, rw) = t.on_write(C1, 5);
         assert_eq!(ww, Some(SharingKind::WriteWrite));
         assert_eq!(rw, None);
-        assert_eq!(t.counts().write_write, 1);
     }
 
     #[test]
@@ -198,7 +179,7 @@ mod tests {
     }
 
     #[test]
-    fn ping_pong_counts_every_round() {
+    fn ping_pong_communicates_every_round() {
         let mut t = SharingTracker::new();
         t.on_write(C0, 9);
         for _ in 0..10 {
@@ -209,10 +190,6 @@ mod tests {
             assert_eq!(t.on_read(C0, 9), Some(SharingKind::WriteRead));
             assert_eq!(t.on_write(C0, 9), (Some(SharingKind::WriteWrite), None));
         }
-        assert_eq!(t.counts().write_read, 20);
-        assert_eq!(t.counts().write_write, 20);
-        assert_eq!(t.counts().read_write, 0);
-        assert_eq!(t.counts().total(), 40);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::cost::CostModel;
 use ddrace_cache::CacheConfig;
 use ddrace_detector::DetectorConfig;
-use ddrace_pmu::IndicatorMode;
+use ddrace_pmu::{IndicatorMode, SharingIndicator};
 use ddrace_program::{PickStrategy, SchedulerConfig};
 
 /// Whose instrumentation a sharing signal enables.
@@ -158,10 +158,7 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// A config for `cores` cores in the given mode, defaults elsewhere.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is 0 or greater than 64.
+    /// Unchecked: see [`SimConfig::validate`].
     pub fn new(cores: usize, mode: AnalysisMode) -> Self {
         SimConfig {
             cores,
@@ -175,17 +172,30 @@ impl SimConfig {
         }
     }
 
-    /// Validates cross-field consistency.
+    /// Checks every setting a simulation rejects: the core count, the
+    /// cache geometry ([`CacheConfig::validate`]), the scheduler quantum
+    /// and, in a demand mode, the indicator's sample period.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the cache config disagrees with `cores` or is invalid.
-    pub fn validate(&self) {
-        assert_eq!(
-            self.cache.cores, self.cores,
-            "cache config must match core count"
-        );
-        self.cache.validate();
+    /// Returns a message naming the first bad setting: a cache config
+    /// that disagrees with `cores` or is invalid, a quantum of 0, or an
+    /// indicator [`SharingIndicator::try_new`] refuses.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.cache.cores != self.cores {
+            return Err(format!(
+                "cache config for {} cores must match core count {}",
+                self.cache.cores, self.cores
+            ));
+        }
+        self.cache.validate()?;
+        if self.scheduler.quantum == 0 {
+            return Err("scheduler quantum must be at least 1".to_string());
+        }
+        if let AnalysisMode::Demand { indicator, .. } = self.mode {
+            SharingIndicator::try_new(indicator, self.cores).map_err(|e| e.to_string())?;
+        }
+        Ok(())
     }
 }
 
@@ -229,17 +239,41 @@ mod tests {
     #[test]
     fn config_construction_and_validation() {
         let cfg = SimConfig::new(4, AnalysisMode::Continuous);
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()));
         assert_eq!(cfg.cores, 4);
         assert_eq!(cfg.detector_kind, DetectorKind::FastTrack);
     }
 
     #[test]
-    #[should_panic(expected = "must match core count")]
-    fn mismatched_cache_cores_rejected() {
-        let mut cfg = SimConfig::new(4, AnalysisMode::Native);
-        cfg.cores = 8;
-        cfg.validate();
+    fn bad_settings_are_refused() {
+        let mut mismatched = SimConfig::new(4, AnalysisMode::Native);
+        mismatched.cores = 8;
+        let mut no_quantum = SimConfig::new(4, AnalysisMode::Native);
+        no_quantum.scheduler.quantum = 0;
+        let mut bad_l2 = SimConfig::new(4, AnalysisMode::Native);
+        bad_l2.cache.l2.sets = 3;
+        let zero_period = SimConfig::new(
+            4,
+            AnalysisMode::Demand {
+                indicator: IndicatorMode::HitmSampling {
+                    period: 0,
+                    skid: 0,
+                    include_rfo: false,
+                },
+                controller: ControllerConfig::default(),
+            },
+        );
+        for (cfg, want) in [
+            (mismatched, "must match core count"),
+            (SimConfig::new(0, AnalysisMode::Native), "1..=64, got 0"),
+            (SimConfig::new(65, AnalysisMode::Native), "1..=64, got 65"),
+            (no_quantum, "quantum must be at least 1"),
+            (bad_l2, "L2: sets must be a power of two"),
+            (zero_period, "sample period must be ≥ 1"),
+        ] {
+            let err = cfg.validate().expect_err(want);
+            assert!(err.contains(want), "`{err}` should say `{want}`");
+        }
     }
 
     #[test]

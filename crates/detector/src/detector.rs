@@ -134,10 +134,11 @@ pub trait RaceDetector {
 
     /// Feeds one recorded event to the detector under continuous
     /// analysis: the one place that maps the event stream onto the hooks
-    /// above. Plain and relaxed accesses are checked accesses (relaxed
-    /// atomics carry no happens-before edge); every other op, acq/rel
-    /// atomics included, goes to [`RaceDetector::on_sync`], which ignores
-    /// `Compute`.
+    /// above. An op that touches memory ([`Op::memory_word`]) and is not
+    /// synchronization ([`Op::is_sync`]) is a checked access: plain and
+    /// relaxed loads, stores and RMWs, since relaxed atomics carry no
+    /// happens-before edge. Every other op, acq/rel atomics included,
+    /// goes to [`RaceDetector::on_sync`], which ignores `Compute`.
     fn replay_event(&mut self, event: &TraceEvent) {
         match event {
             TraceEvent::ThreadStarted { tid, parent } => self.on_thread_start(*tid, *parent),
@@ -146,21 +147,9 @@ pub trait RaceDetector {
                 barrier,
                 participants,
             } => self.on_barrier_release(*barrier, participants),
-            TraceEvent::Op { tid, op } => match *op {
-                Op::Read { addr } => {
-                    self.on_access(*tid, addr, AccessKind::Read);
-                }
-                Op::Write { addr } => {
-                    self.on_access(*tid, addr, AccessKind::Write);
-                }
-                Op::RelaxedLoad { addr } => {
-                    self.on_access(*tid, addr, AccessKind::RelaxedLoad);
-                }
-                Op::RelaxedStore { addr } => {
-                    self.on_access(*tid, addr, AccessKind::RelaxedStore);
-                }
-                Op::RelaxedRmw { addr } => {
-                    self.on_access(*tid, addr, AccessKind::RelaxedRmw);
+            TraceEvent::Op { tid, op } => match op.memory_word() {
+                Some((addr, kind)) if !op.is_sync() => {
+                    self.on_access(*tid, addr, kind);
                 }
                 _ => self.on_sync(*tid, op),
             },

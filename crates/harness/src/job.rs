@@ -547,6 +547,29 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_variants_yield_configs_validation_refuses() {
+        let quantum0 = JobVariant::new(
+            "q0",
+            ConfigPatch {
+                quantum: Some(0),
+                ..ConfigPatch::default()
+            },
+        );
+        let spec = Campaign::builder("bad")
+            .workloads([racy::sparse_race()])
+            .variants([
+                JobVariant::with_cores(0),
+                JobVariant::with_cores(65),
+                JobVariant::private_cache("odd", 3),
+                quantum0,
+            ])
+            .build();
+        for job in &spec.jobs {
+            assert!(job.sim_config().validate().is_err(), "{}", job.label());
+        }
+    }
+
+    #[test]
     fn cross_product_order_is_variant_then_seed() {
         let spec = Campaign::builder("order")
             .workloads([racy::sparse_race()])

@@ -131,16 +131,10 @@ impl JobVariant {
 
     /// A `c{cores}` variant overriding only the simulated core count —
     /// the A5 SMT sweep's axis (thread `t` runs on core `t mod cores`, so
-    /// fewer cores co-schedule more threads per core).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is 0 or greater than 64 (the simulator's limit).
+    /// fewer cores co-schedule more threads per core). Unchecked, like
+    /// every patch: [`SimConfig::validate`](ddrace_core::SimConfig::validate)
+    /// judges the [`Job::sim_config`](crate::Job::sim_config) it yields.
     pub fn with_cores(cores: usize) -> JobVariant {
-        assert!(
-            (1..=64).contains(&cores),
-            "core-count variant must be in 1..=64, got {cores}"
-        );
         JobVariant {
             name: format!("c{cores}"),
             patch: ConfigPatch {
@@ -154,15 +148,8 @@ impl JobVariant {
     /// co-scaled at 1/8 of the L2 (floor of 2 sets), the geometry the A3
     /// sweep uses. The label names the **L2** capacity; the sweep scales
     /// the whole private hierarchy, not the L2 alone (see EXPERIMENTS.md).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l2_sets` is not a power of two (cache geometry rule).
+    /// Unchecked, like [`JobVariant::with_cores`].
     pub fn private_cache(label: impl Into<String>, l2_sets: usize) -> JobVariant {
-        assert!(
-            l2_sets.is_power_of_two(),
-            "cache sets must be a power of two, got {l2_sets}"
-        );
         JobVariant {
             name: label.into(),
             patch: ConfigPatch {
@@ -244,11 +231,5 @@ mod tests {
         let tiny = JobVariant::private_cache("tiny", 8);
         assert_eq!(tiny.patch.l1.unwrap().sets, 2);
         assert_eq!(JobVariant::private_cache_sweep().len(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "1..=64")]
-    fn zero_core_variant_rejected() {
-        let _ = JobVariant::with_cores(0);
     }
 }

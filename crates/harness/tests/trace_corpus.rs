@@ -4,9 +4,9 @@
 //! workload slots in the report, and fold into a byte-deterministic
 //! aggregate like any generator job.
 
-use ddrace_core::{AnalysisMode, RunResult, SimConfig, Simulation};
-use ddrace_harness::{fnv1a, run_campaign, Campaign, EventSink, TraceSource};
-use ddrace_program::{Addr, ThreadId, TraceEvent};
+use ddrace_core::{AnalysisMode, DetectorKind, RunResult, SimConfig, Simulation};
+use ddrace_harness::{fnv1a, replay, run_campaign, Campaign, EventSink, TraceSource};
+use ddrace_program::{Addr, BarrierId, CondId, LockId, Op, SemId, ThreadId, TraceEvent};
 use ddrace_trace::{decode_events_into, TraceRecord, TraceWriter};
 use ddrace_workloads::{racy, Scale, WorkloadSpec};
 use std::path::PathBuf;
@@ -146,4 +146,108 @@ fn corrupt_traces_are_rejected_at_load_time() {
     std::fs::write(&foreign, b"not a trace at all").unwrap();
     let err = TraceSource::load(&foreign).unwrap_err().to_string();
     assert!(err.contains("refusing to ingest"), "{err}");
+}
+
+/// Well-formed traces whose meaning no scheduler would produce: each one
+/// must still replay to a result in every mode, under every detector.
+#[test]
+fn hostile_but_well_formed_traces_replay_everywhere() {
+    use Op::*;
+    let (t0, t1, t2, t_max) = (ThreadId(0), ThreadId(1), ThreadId(2), ThreadId(0xFFFF));
+    let (x, far) = (Addr(0x1000), Addr(u64::MAX));
+    let (lock, cond, sem) = (LockId(0), CondId(0), SemId(0));
+    let (lock_max, cond_max, sem_max) = (LockId(u32::MAX), CondId(u32::MAX), SemId(u32::MAX));
+    let op = |tid, op| TraceEvent::Op { tid, op };
+    let started = |tid, parent| TraceEvent::ThreadStarted {
+        tid,
+        parent: Some(parent),
+    };
+    let barrier = |id, participants| Barrier {
+        barrier: BarrierId(id),
+        participants,
+    };
+    let released = |id, participants: &[ThreadId]| TraceEvent::BarrierReleased {
+        barrier: BarrierId(id),
+        participants: participants.to_vec(),
+    };
+    let cond_wait = |cond, lock| CondWait { cond, lock };
+    // Each trace starts the main thread, then has it or others do:
+    let cases = [
+        // an unlock of an unheld lock,
+        vec![op(t0, Unlock { lock })],
+        // a join of a thread never forked,
+        vec![op(t0, Join { child: t1 })],
+        // a wake with no wait,
+        vec![op(t0, CondWake { cond, lock })],
+        // notifies with no waiter,
+        vec![op(t0, NotifyOne { cond }), op(t0, NotifyAll { cond })],
+        // a wait on a semaphore never posted,
+        vec![op(t0, WaitSem { sem })],
+        // activity after the thread has finished,
+        vec![
+            TraceEvent::ThreadFinished { tid: t0 },
+            op(t0, Read { addr: x }),
+        ],
+        // ops by a thread that never started,
+        vec![op(t1, Write { addr: x }), op(t0, Read { addr: x })],
+        // a thread whose parent never started,
+        vec![started(t2, t1), op(t2, Write { addr: x })],
+        // a barrier release naming threads that never arrived,
+        vec![released(0, &[t1, t2])],
+        // a barrier of zero participants,
+        vec![op(t0, barrier(0, 0)), released(0, &[])],
+        // a self-fork,
+        vec![op(t0, Fork { child: t0 })],
+        // a thread started twice,
+        vec![started(t1, t0), started(t1, t0)],
+        // the highest thread id the reader admits,
+        vec![started(t_max, t0), op(t_max, Write { addr: x })],
+        // and u32::MAX sync-object ids and the last address.
+        vec![
+            op(t0, Lock { lock: lock_max }),
+            op(t0, Unlock { lock: lock_max }),
+        ],
+        vec![op(t0, barrier(u32::MAX, 1)), released(u32::MAX, &[t0])],
+        vec![
+            op(t0, Post { sem: sem_max }),
+            op(t0, WaitSem { sem: sem_max }),
+        ],
+        vec![
+            op(t0, cond_wait(cond_max, lock_max)),
+            op(t0, NotifyAll { cond: cond_max }),
+        ],
+        vec![op(t0, Write { addr: far }), op(t0, AtomicRmw { addr: far })],
+    ];
+    let modes = [
+        AnalysisMode::Native,
+        AnalysisMode::Continuous,
+        AnalysisMode::demand_hitm(),
+        AnalysisMode::demand_oracle(),
+    ];
+    for events in cases {
+        let mut writer = TraceWriter::new(Vec::new()).unwrap();
+        writer.record_event(&TraceEvent::ThreadStarted {
+            tid: t0,
+            parent: None,
+        });
+        for event in &events {
+            writer.record_event(event);
+        }
+        let bytes = writer.finish().unwrap();
+        for mode in modes {
+            for detector in [
+                DetectorKind::FastTrack,
+                DetectorKind::Djit,
+                DetectorKind::LockSet,
+            ] {
+                let mut cfg = SimConfig::new(4, mode);
+                cfg.detector_kind = detector;
+                let result = replay(bytes.as_slice(), cfg, 0);
+                assert!(
+                    result.is_ok(),
+                    "{events:?}, {mode:?}/{detector:?}: {result:?}"
+                );
+            }
+        }
+    }
 }

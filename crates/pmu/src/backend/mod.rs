@@ -1,9 +1,10 @@
 //! Counter backends: where the sharing indicator's numbers come from.
 //!
-//! The simulator ([`Pmu`](crate::Pmu)/[`SharingIndicator`](crate::SharingIndicator))
-//! models the paper's hardware; this module abstracts the *source* of the
-//! counts so the demand-driven toggle can also be driven by a real PMU on
-//! a real thread. [`PmuBackend`] is the contract; two implementations
+//! The simulator ([`SharingIndicator`](crate::SharingIndicator), one
+//! [`Counter`](crate::Counter) per core) models the paper's hardware;
+//! this module abstracts the *source* of the counts so the
+//! demand-driven toggle can also be driven by a real PMU on a real
+//! thread. [`PmuBackend`] is the contract; two implementations
 //! exist:
 //!
 //! * [`SimPmu`] — the deterministic simulator counter, always available,

@@ -47,7 +47,8 @@ impl SimState {
 /// [`SimFeeder`] (by tests, or by simulator glue that forwards
 /// cache-model events). Overflow delivery reuses the crate's
 /// [`Counter`] machinery — period, skid, and the suppressed-overflow
-/// accounting all behave exactly as in the simulated [`Pmu`](crate::Pmu).
+/// accounting all behave exactly as in the simulated
+/// [`SharingIndicator`](crate::SharingIndicator).
 #[derive(Debug)]
 pub struct SimPmu {
     state: Arc<Mutex<SimState>>,
@@ -150,7 +151,7 @@ pub struct SimFeeder {
 impl SimFeeder {
     /// Feeds one retired access carrying `events` occurrences of the
     /// counted event; advances skid countdowns exactly like
-    /// [`Pmu::on_access`](crate::Pmu::on_access).
+    /// [`SharingIndicator::observe`](crate::SharingIndicator::observe).
     pub fn inject(&self, events: u64) {
         let mut state = self.state.lock().unwrap();
         state.ticks += 1;
@@ -181,7 +182,7 @@ mod tests {
         let feeder = backend.feeder();
         // Two separated bursts of 2 events: each crosses the period and
         // delivers after the SIM_SKID countdown (bursts inside one skid
-        // window would merge, as in the simulated Pmu).
+        // window would merge, as in the simulated indicator).
         for _round in 0..2 {
             for _ in 0..2 {
                 feeder.inject(1);

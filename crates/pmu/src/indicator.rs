@@ -15,9 +15,8 @@
 //! * [`IndicatorMode::Disabled`]: never fires (native execution, or
 //!   continuous-analysis mode where no trigger is needed).
 
-use crate::counter::{CounterConfig, PmuConfigError};
+use crate::counter::{Counter, CounterConfig, PmuConfigError};
 use crate::event::PmuEventKind;
-use crate::pmu::Pmu;
 use ddrace_cache::{AccessResult, CoreId};
 use ddrace_program::AccessKind;
 
@@ -93,7 +92,8 @@ pub struct SharingSignal {
 #[derive(Debug, Clone)]
 pub struct SharingIndicator {
     mode: IndicatorMode,
-    pmu: Pmu,
+    /// The one programmed counter of each core; none when disabled.
+    counters: Vec<Counter>,
     signals_raised: u64,
 }
 
@@ -123,7 +123,8 @@ impl SharingIndicator {
     ///
     /// Panics if `cores` is zero.
     pub fn try_new(mode: IndicatorMode, cores: usize) -> Result<Self, PmuConfigError> {
-        let configs = match mode {
+        assert!(cores > 0, "a machine needs at least one core");
+        let config = match mode {
             IndicatorMode::HitmSampling {
                 period,
                 skid,
@@ -134,19 +135,28 @@ impl SharingIndicator {
                 } else {
                     PmuEventKind::HitmLoad
                 };
-                vec![CounterConfig::sampling(event, period, skid)?]
+                Some(CounterConfig::sampling(event, period, skid)?)
             }
-            IndicatorMode::Oracle => {
-                vec![CounterConfig::sampling(PmuEventKind::TrueSharing, 1, 0)
-                    .expect("oracle period is a nonzero constant")]
-            }
-            IndicatorMode::Disabled => Vec::new(),
+            IndicatorMode::Oracle => Some(
+                CounterConfig::sampling(PmuEventKind::TrueSharing, 1, 0)
+                    .expect("oracle period is a nonzero constant"),
+            ),
+            IndicatorMode::Disabled => None,
         };
         Ok(SharingIndicator {
             mode,
-            pmu: Pmu::new(cores, configs),
+            counters: config.map_or_else(Vec::new, |c| vec![Counter::new(c); cores]),
             signals_raised: 0,
         })
+    }
+
+    /// The counter of `core`, or `None` when the indicator is disabled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range for an enabled indicator.
+    fn counter(&mut self, core: CoreId) -> Option<&mut Counter> {
+        (!self.counters.is_empty()).then(|| &mut self.counters[core.index()])
     }
 
     /// The mode this indicator runs in.
@@ -154,16 +164,27 @@ impl SharingIndicator {
         self.mode
     }
 
-    /// Feeds one retired access; returns a signal if an interrupt was
-    /// delivered on it.
+    /// Feeds one retired access on `core` into its counter; returns a
+    /// signal if an interrupt was delivered on it (a threshold crossing
+    /// with no skid, or the end of an earlier crossing's skid).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range for an enabled indicator.
     pub fn observe(
         &mut self,
         core: CoreId,
         result: &AccessResult,
         kind: AccessKind,
     ) -> Option<SharingSignal> {
-        let overflows = self.pmu.on_access(core, result, kind);
-        let first = overflows.first()?;
+        let counter = self.counter(core)?;
+        let events = counter
+            .config()
+            .event
+            .count_in(result, kind.is_read(), kind.is_write());
+        let crossed = counter.observe(events);
+        let delivered = counter.retire();
+        let first = crossed.or(delivered)?;
         self.signals_raised += 1;
         Some(SharingSignal {
             core,
@@ -179,7 +200,7 @@ impl SharingIndicator {
     /// silently lost. Deterministic: depends only on the access stream
     /// fed so far.
     pub fn core_stopped(&mut self, core: CoreId) -> Option<SharingSignal> {
-        let first = *self.pmu.flush_core(core).first()?;
+        let first = self.counter(core)?.flush_pending()?;
         self.signals_raised += 1;
         Some(SharingSignal {
             core,
@@ -197,22 +218,17 @@ impl SharingIndicator {
     /// disable/reset while a skid countdown was in flight). Always zero
     /// unless a driver toggles the underlying counters mid-run.
     pub fn suppressed_signals(&self) -> u64 {
-        self.pmu.suppressed_overflows()
+        self.counters
+            .iter()
+            .map(Counter::suppressed_overflows)
+            .sum()
     }
 
     /// Total trigger events counted so far (HITMs or true-sharing events,
-    /// depending on mode), including ones below the sampling threshold.
+    /// depending on mode), summed over cores, including ones below the
+    /// sampling threshold.
     pub fn events_counted(&self) -> u64 {
-        match self.mode {
-            IndicatorMode::HitmSampling {
-                include_rfo: false, ..
-            } => self.pmu.total(PmuEventKind::HitmLoad),
-            IndicatorMode::HitmSampling {
-                include_rfo: true, ..
-            } => self.pmu.total(PmuEventKind::AnyHitm),
-            IndicatorMode::Oracle => self.pmu.total(PmuEventKind::TrueSharing),
-            IndicatorMode::Disabled => 0,
-        }
+        self.counters.iter().map(Counter::value).sum()
     }
 }
 
@@ -341,6 +357,35 @@ mod tests {
         }
         assert_eq!(signals, 10);
         assert_eq!(ind.events_counted(), 100);
+    }
+
+    #[test]
+    fn each_core_counts_its_own_events() {
+        let mut ind = SharingIndicator::new(
+            IndicatorMode::HitmSampling {
+                period: 2,
+                skid: 0,
+                include_rfo: false,
+            },
+            2,
+        );
+        // One HITM per core: neither core's counter reaches the period.
+        for core in [CoreId(0), CoreId(1)] {
+            assert!(ind
+                .observe(core, &hitm_result(), AccessKind::Read)
+                .is_none());
+        }
+        assert_eq!(ind.events_counted(), 2);
+        // A second HITM on core 1 crosses core 1's threshold only.
+        let signal = ind.observe(CoreId(1), &hitm_result(), AccessKind::Read);
+        assert_eq!(signal.map(|s| s.core), Some(CoreId(1)));
+        assert_eq!(ind.events_counted(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one core")]
+    fn zero_cores_panics() {
+        let _ = SharingIndicator::new(IndicatorMode::Disabled, 0);
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //! of *"Demand-driven software race detection using hardware performance
 //! counters"* (Greathouse et al., ISCA 2011).
 //!
-//! Models what the paper uses on real Nehalem hardware: per-core
-//! programmable counters ([`Counter`], [`Pmu`]) with event selection,
-//! sampling ("sample-after" thresholds), overflow interrupts, and
-//! configurable interrupt **skid** — plus the [`SharingIndicator`]
-//! abstraction the demand-driven controller consumes, in three flavors:
-//! realistic HITM sampling, the idealized oracle, and disabled.
+//! Models what the paper uses on real Nehalem hardware: a programmable
+//! [`Counter`] with event selection, sampling ("sample-after"
+//! thresholds), overflow interrupts, and configurable interrupt **skid**
+//! — plus the [`SharingIndicator`] the demand-driven controller consumes,
+//! which programs one such counter per core, in three flavors: realistic
+//! HITM sampling, the idealized oracle, and disabled.
 //!
 //! # Example
 //!
@@ -39,9 +39,7 @@ pub mod backend;
 mod counter;
 mod event;
 mod indicator;
-mod pmu;
 
 pub use counter::{Counter, CounterConfig, Overflow, PmuConfigError};
 pub use event::PmuEventKind;
 pub use indicator::{IndicatorMode, SharingIndicator, SharingSignal};
-pub use pmu::Pmu;

@@ -1,6 +1,7 @@
 //! Core vocabulary types: thread ids, addresses, synchronization object ids,
 //! and the operations a simulated thread can perform.
 
+use crate::address::AddressSpace;
 use std::fmt;
 
 /// Identifier of a simulated thread.
@@ -430,22 +431,42 @@ pub enum Op {
 }
 
 impl Op {
-    /// If this op is a checked (plain or relaxed-atomic, or RMW) memory
-    /// access, returns its address and kind.
+    /// The memory word this op touches and the access kind the cache sees
+    /// there, or `None` for `Compute`, `Fork` and `Join`, which touch no
+    /// memory.
     ///
-    /// `AtomicLoad`/`AtomicStore` return `None`: like `Lock`/`Unlock` they
-    /// are pure synchronization from the detector's point of view (their
-    /// cache footprint is applied during simulator lowering).
-    pub fn memory_access(&self) -> Option<(Addr, AccessKind)> {
-        match *self {
-            Op::Read { addr } => Some((addr, AccessKind::Read)),
-            Op::Write { addr } => Some((addr, AccessKind::Write)),
-            Op::AtomicRmw { addr } => Some((addr, AccessKind::AtomicRmw)),
-            Op::RelaxedLoad { addr } => Some((addr, AccessKind::RelaxedLoad)),
-            Op::RelaxedStore { addr } => Some((addr, AccessKind::RelaxedStore)),
-            Op::RelaxedRmw { addr } => Some((addr, AccessKind::RelaxedRmw)),
-            _ => None,
-        }
+    /// Data accesses touch their own address. Acquire/release atomics are
+    /// a plain load or store of theirs and `AtomicRmw` an RMW of it. Every
+    /// other sync op is an RMW of its object's word in the sync region
+    /// ([`AddressSpace::lock_addr`] and its siblings), so lock, barrier,
+    /// semaphore and condvar lines ping-pong between cores like futex
+    /// words; an unlock is a plain store. Whether the access is a checked
+    /// data access or synchronization is [`Op::is_sync`]'s call.
+    #[inline]
+    pub fn memory_word(&self) -> Option<(Addr, AccessKind)> {
+        Some(match *self {
+            Op::Read { addr } => (addr, AccessKind::Read),
+            Op::Write { addr } => (addr, AccessKind::Write),
+            Op::RelaxedLoad { addr } => (addr, AccessKind::RelaxedLoad),
+            Op::RelaxedStore { addr } => (addr, AccessKind::RelaxedStore),
+            Op::RelaxedRmw { addr } => (addr, AccessKind::RelaxedRmw),
+            Op::AtomicRmw { addr } => (addr, AccessKind::AtomicRmw),
+            Op::AtomicLoad { addr } => (addr, AccessKind::Read),
+            Op::AtomicStore { addr } => (addr, AccessKind::Write),
+            Op::Lock { lock } => (AddressSpace::lock_addr(lock), AccessKind::AtomicRmw),
+            Op::Unlock { lock } => (AddressSpace::lock_addr(lock), AccessKind::Write),
+            Op::Barrier { barrier, .. } => {
+                (AddressSpace::barrier_addr(barrier), AccessKind::AtomicRmw)
+            }
+            Op::Post { sem } | Op::WaitSem { sem } => {
+                (AddressSpace::sem_addr(sem), AccessKind::AtomicRmw)
+            }
+            Op::CondWait { cond, .. }
+            | Op::CondWake { cond, .. }
+            | Op::NotifyOne { cond }
+            | Op::NotifyAll { cond } => (AddressSpace::cond_addr(cond), AccessKind::AtomicRmw),
+            Op::Fork { .. } | Op::Join { .. } | Op::Compute { .. } => return None,
+        })
     }
 
     /// Returns `true` for synchronization operations (everything that can
@@ -583,35 +604,45 @@ mod tests {
     }
 
     #[test]
-    fn op_memory_access_extraction() {
-        assert_eq!(
-            Op::Read { addr: Addr(8) }.memory_access(),
-            Some((Addr(8), AccessKind::Read))
-        );
-        assert_eq!(
-            Op::Write { addr: Addr(8) }.memory_access(),
-            Some((Addr(8), AccessKind::Write))
-        );
-        assert_eq!(
-            Op::AtomicRmw { addr: Addr(8) }.memory_access(),
-            Some((Addr(8), AccessKind::AtomicRmw))
-        );
-        assert_eq!(
-            Op::RelaxedLoad { addr: Addr(8) }.memory_access(),
-            Some((Addr(8), AccessKind::RelaxedLoad))
-        );
-        assert_eq!(
-            Op::RelaxedStore { addr: Addr(8) }.memory_access(),
-            Some((Addr(8), AccessKind::RelaxedStore))
-        );
-        assert_eq!(
-            Op::RelaxedRmw { addr: Addr(8) }.memory_access(),
-            Some((Addr(8), AccessKind::RelaxedRmw))
-        );
-        assert_eq!(Op::AtomicLoad { addr: Addr(8) }.memory_access(), None);
-        assert_eq!(Op::AtomicStore { addr: Addr(8) }.memory_access(), None);
-        assert_eq!(Op::Lock { lock: LockId(0) }.memory_access(), None);
-        assert_eq!(Op::Compute { cycles: 5 }.memory_access(), None);
+    fn op_memory_words() {
+        use AccessKind as K;
+        let (a, lock, sem, cond) = (Addr(8), LockId(3), SemId(1), CondId(5));
+        let barrier = BarrierId(2);
+        let lock_word = AddressSpace::lock_addr(lock);
+        let sem_word = AddressSpace::sem_addr(sem);
+        let cond_word = AddressSpace::cond_addr(cond);
+        let barrier_op = Op::Barrier {
+            barrier,
+            participants: 4,
+        };
+        let cases = [
+            (Op::Read { addr: a }, Some((a, K::Read))),
+            (Op::Write { addr: a }, Some((a, K::Write))),
+            (Op::RelaxedLoad { addr: a }, Some((a, K::RelaxedLoad))),
+            (Op::RelaxedStore { addr: a }, Some((a, K::RelaxedStore))),
+            (Op::RelaxedRmw { addr: a }, Some((a, K::RelaxedRmw))),
+            (Op::AtomicRmw { addr: a }, Some((a, K::AtomicRmw))),
+            (Op::AtomicLoad { addr: a }, Some((a, K::Read))),
+            (Op::AtomicStore { addr: a }, Some((a, K::Write))),
+            (Op::Lock { lock }, Some((lock_word, K::AtomicRmw))),
+            (Op::Unlock { lock }, Some((lock_word, K::Write))),
+            (
+                barrier_op,
+                Some((AddressSpace::barrier_addr(barrier), K::AtomicRmw)),
+            ),
+            (Op::Post { sem }, Some((sem_word, K::AtomicRmw))),
+            (Op::WaitSem { sem }, Some((sem_word, K::AtomicRmw))),
+            (Op::CondWait { cond, lock }, Some((cond_word, K::AtomicRmw))),
+            (Op::CondWake { cond, lock }, Some((cond_word, K::AtomicRmw))),
+            (Op::NotifyOne { cond }, Some((cond_word, K::AtomicRmw))),
+            (Op::NotifyAll { cond }, Some((cond_word, K::AtomicRmw))),
+            (Op::Fork { child: ThreadId(1) }, None),
+            (Op::Join { child: ThreadId(1) }, None),
+            (Op::Compute { cycles: 5 }, None),
+        ];
+        for (op, want) in cases {
+            assert_eq!(op.memory_word(), want, "{op}");
+        }
     }
 
     #[test]

@@ -621,7 +621,7 @@ mod tests {
             2,
         ));
         for op in ops {
-            let (addr, _) = op.memory_access().expect("only memory ops");
+            let (addr, _) = op.memory_word().expect("only memory ops");
             assert!(r.contains(addr));
         }
     }

@@ -287,22 +287,18 @@ fn parse_variant(s: &str) -> Result<JobVariant, String> {
         };
         match key {
             "cores" => patch.cores = Some(num(value)? as usize),
-            "quantum" => patch.quantum = Some(num(value)? as u32),
+            "quantum" => {
+                let quantum = num(value)?;
+                patch.quantum = Some(u32::try_from(quantum).map_err(|_| {
+                    format!(
+                        "refused: --variants {name}: quantum must be at most {}, got {quantum}",
+                        u32::MAX
+                    )
+                })?);
+            }
             "scale" => patch.scale = Some(Scale::from_name(value)?),
             "detector" => patch.detector_kind = Some(parse_detector(value)?),
-            "period" => {
-                let period = num(value)?;
-                if period == 0 {
-                    // Reachable user input headed straight for the
-                    // sampling counter; refuse here (exit 2) instead of
-                    // panicking deep in SharingIndicator construction.
-                    return Err(format!(
-                        "refused: --variants {name}: `period:0` is invalid — the \
-                         sample-after value must be ≥ 1"
-                    ));
-                }
-                patch.sample_period = Some(period);
-            }
+            "period" => patch.sample_period = Some(num(value)?),
             "cooldown" => patch.cooldown_accesses = Some(num(value)?),
             "l1-sets" => patch.l1.get_or_insert(nehalem.l1).sets = num(value)? as usize,
             "l1-ways" => patch.l1.get_or_insert(nehalem.l1).ways = num(value)? as usize,
@@ -336,11 +332,28 @@ fn parse_cores_sweep(list: &str) -> Result<Vec<JobVariant>, String> {
         return Err("--cores-sweep needs at least one core count".to_string());
     }
     for &c in &cores {
-        if c == 0 || c > 64 {
-            return Err(format!("--cores-sweep counts must be in 1..=64, got {c}"));
-        }
+        check_config(&SimConfig::new(c, AnalysisMode::Native), "--cores-sweep")?;
     }
     Ok(cores.into_iter().map(JobVariant::with_cores).collect())
+}
+
+/// Refuses (exit 2) a configuration the simulator would reject, naming
+/// the flag whose value made it so.
+fn check_config(cfg: &SimConfig, flag: &str) -> Result<(), String> {
+    cfg.validate().map_err(|e| format!("refused: {flag}: {e}"))
+}
+
+/// Refuses (exit 2) a campaign the simulator would reject, before any
+/// job runs: first the `--cores` every job starts from, then each job's
+/// own configuration, which only its `--variants` point can make
+/// invalid (`--cores-sweep` points are checked as they are parsed).
+fn check_campaign(campaign: &Campaign, cores: usize) -> Result<(), String> {
+    check_config(&SimConfig::new(cores, AnalysisMode::Native), "--cores")?;
+    for job in &campaign.jobs {
+        let flag = format!("--variants {}", job.variant.name);
+        check_config(&job.sim_config(), &flag)?;
+    }
+    Ok(())
 }
 
 struct Common {
@@ -385,14 +398,11 @@ fn sim_config(
             .unwrap_or("demand-hitm"),
     )?;
     let mut cfg = SimConfig::new(cores, mode);
-    cfg.scheduler = SchedulerConfig {
-        quantum: 32,
-        seed,
-        jitter: true,
-    };
+    cfg.scheduler = SchedulerConfig::jittered(seed);
     if let Some(d) = flags.get("detector") {
         cfg.detector_kind = parse_detector(d)?;
     }
+    check_config(&cfg, "--cores")?;
     Ok(cfg)
 }
 
@@ -514,14 +524,9 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
     let common = parse_common(flags)?;
+    let base = sim_config(flags, common.cores, common.seed)?;
     let run = |mode| -> Result<RunResult, String> {
-        let mut cfg = SimConfig::new(common.cores, mode);
-        cfg.scheduler = SchedulerConfig {
-            quantum: 32,
-            seed: common.seed,
-            jitter: true,
-        };
-        Simulation::new(cfg)
+        Simulation::new(SimConfig { mode, ..base })
             .run(common.spec.program(common.scale, common.seed))
             .map_err(|e| e.to_string())
     };
@@ -553,11 +558,7 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_record(flags: &HashMap<String, String>) -> Result<(), String> {
     let common = parse_common(flags)?;
     let out = flags.get("out").ok_or("--out FILE is required")?;
-    let scheduler = SchedulerConfig {
-        quantum: 32,
-        seed: common.seed,
-        jitter: true,
-    };
+    let scheduler = SchedulerConfig::jittered(common.seed);
     let file = std::fs::File::create(out).map_err(|e| format!("--out {out}: {e}"))?;
     let mut writer =
         TraceWriter::new(std::io::BufWriter::new(file)).map_err(|e| format!("--out {out}: {e}"))?;
@@ -632,12 +633,13 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> Result<(), String> {
         (None, None) => None,
     };
 
+    let cores = num_flag(flags, "cores")?.unwrap_or(8);
     let mut builder = Campaign::builder(format!("{suite}-campaign"))
         .workloads(workloads)
         .modes(modes)
         .seeds(seeds)
         .scale(scale)
-        .cores(num_flag(flags, "cores")?.unwrap_or(8));
+        .cores(cores);
     if let Some(variants) = variants {
         builder = builder.variants(variants);
     }
@@ -647,7 +649,9 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> Result<(), String> {
     if let Some(secs) = num_flag(flags, "timeout-secs")? {
         builder = builder.timeout(std::time::Duration::from_secs(secs));
     }
-    run_campaign_or_resume(flags, &builder.build(), false)
+    let campaign = builder.build();
+    check_campaign(&campaign, cores)?;
+    run_campaign_or_resume(flags, &campaign, false)
 }
 
 /// The run-or-resume driver `campaign`, `ingest` and `fuzz` share.
@@ -864,11 +868,12 @@ fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
         .map(parse_detector)
         .collect::<Result<Vec<_>, _>>()?;
 
+    let cores = num_flag(flags, "cores")?.unwrap_or(8);
     let mut builder = Campaign::builder("ingest")
         .trace_corpus(sources)
         .modes(modes)
         .seeds([0])
-        .cores(num_flag(flags, "cores")?.unwrap_or(8))
+        .cores(cores)
         .replay_workers(num_flag(flags, "replay-workers")?.unwrap_or(0));
     match detectors.as_slice() {
         [single] => builder = builder.detector_kind(*single),
@@ -891,9 +896,11 @@ fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
             }));
         }
     }
+    let campaign = builder.build();
+    check_campaign(&campaign, cores)?;
     // Replay is deterministic end to end, so the events stream is too:
     // wall-clock fields are zeroed as in `fuzz`.
-    run_campaign_or_resume(flags, &builder.build(), true)
+    run_campaign_or_resume(flags, &campaign, true)
 }
 
 #[cfg(test)]

@@ -400,27 +400,64 @@ fn unknown_benchmark_fails_helpfully() {
 }
 
 #[test]
-fn zero_sample_period_is_refused_with_exit_2() {
-    // `period:0` would previously panic deep inside SharingIndicator
-    // construction; it must now be refused up front, naming the flag.
-    let out = ddrace()
-        .args([
-            "campaign",
-            "--suite",
-            "parsec",
-            "--scale",
-            "test",
-            "--variants",
-            "bad=period:0",
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2), "refusals exit 2");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--variants"), "names the flag: {stderr}");
-    assert!(stderr.contains("period:0"), "names the value: {stderr}");
-    assert!(stderr.contains("must be ≥ 1"), "states the rule: {stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+fn out_of_range_settings_are_refused_with_exit_2() {
+    // Each value is outside what the simulator can model. It must be
+    // refused before any job runs, with one `error:` line naming the
+    // flag, never a panic in the simulator or in every campaign job.
+    let dir = std::env::temp_dir().join(format!("ddrace-cli-range-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("ok.ddrt");
+    let trace = trace.to_str().unwrap();
+    stdout_of({
+        let mut c = ddrace();
+        c.args(["record", "--bench", "sparse_race", "--scale", "test"])
+            .args(["--out", trace]);
+        c
+    });
+    // `command, its out-of-range flags => how its one error line starts`
+    let cases = [
+        "run --cores 0 => error: --cores: cores must be in 1..=64, got 0",
+        "run --cores 65 => error: --cores: cores must be in 1..=64, got 65",
+        "compare --cores 0 => error: --cores: cores must be in 1..=64",
+        "compare --cores 65 => error: --cores: cores must be in 1..=64",
+        "analyze --cores 0 => error: --cores: cores must be in 1..=64",
+        "analyze --cores 65 => error: --cores: cores must be in 1..=64",
+        "ingest --cores 0 => error: --cores: cores must be in 1..=64",
+        "campaign --cores 0 => error: --cores: cores must be in 1..=64",
+        "campaign --cores 100 => error: --cores: cores must be in 1..=64",
+        "campaign --cores-sweep 1,0 => error: --cores-sweep: cores must be in 1..=64",
+        "campaign --variants x=cores:0 => error: --variants x: cores must be in 1..=64",
+        "campaign --variants x=cores:65 => error: --variants x: cores must be in 1..=64",
+        "campaign --variants x=quantum:0 => error: --variants x: scheduler quantum",
+        "campaign --variants x=quantum:4294967296 => error: --variants x: quantum must be at most",
+        "campaign --variants x=l2-sets:3 => error: --variants x: L2: sets must be a power of two",
+        "campaign --variants x=l1-sets:0 => error: --variants x: L1: sets must be a power of two",
+        "campaign --variants x=l2-ways:0 => error: --variants x: L2: ways must be positive",
+        "campaign --variants x=period:0 => error: --variants x: sample period must be ≥ 1",
+    ];
+    for case in cases {
+        let (line, want) = case.split_once(" => ").unwrap();
+        let (command, bad) = line.split_once(' ').unwrap();
+        let base: &[&str] = match command {
+            "run" | "compare" => &["--bench", "sparse_race", "--scale", "test"],
+            "analyze" => &["--trace", trace],
+            "ingest" => &["--traces", trace, "--quiet"],
+            _ => &["--suite", "racy", "--scale", "test", "--quiet"],
+        };
+        let out = ddrace()
+            .arg(command)
+            .args(base)
+            .args(bad.split(' '))
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{line}: {stderr}");
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(errors.len(), 1, "{line}: {stderr}");
+        assert!(errors[0].starts_with(want), "{line}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
