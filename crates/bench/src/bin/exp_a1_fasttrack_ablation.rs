@@ -32,15 +32,10 @@ fn main() {
         racy::unprotected_counter(),
         racy::mostly_locked(),
     ];
-    let kinds = [
-        DetectorKind::FastTrack,
-        DetectorKind::Djit,
-        DetectorKind::LockSet,
-    ];
 
     let mut out = Vec::new();
     for spec in &specs {
-        for kind in kinds {
+        for kind in DetectorKind::ALL {
             let mut config = ctx.sim_config(AnalysisMode::Continuous);
             config.detector_kind = kind;
             let t0 = Instant::now();
@@ -54,7 +49,7 @@ fn main() {
             };
             out.push(AblationRow {
                 workload: spec.name.clone(),
-                detector: format!("{kind:?}").to_lowercase(),
+                detector: kind.name().to_string(),
                 wall_ms: wall,
                 fast_path_fraction: fast,
                 escalations: stats.escalations,

@@ -104,7 +104,28 @@ impl AnalysisMode {
         !matches!(self, AnalysisMode::Native)
     }
 
-    /// A short label for tables.
+    /// The four modes the CLI names, each at its default tuning, in table
+    /// order: native, continuous, demand-HITM, demand-oracle.
+    pub fn presets() -> [AnalysisMode; 4] {
+        [
+            AnalysisMode::Native,
+            AnalysisMode::Continuous,
+            AnalysisMode::demand_hitm(),
+            AnalysisMode::demand_oracle(),
+        ]
+    }
+
+    /// The preset whose [`label`](AnalysisMode::label) is `label`
+    /// (`demand-off` is a table label only, not a preset).
+    pub fn from_label(label: &str) -> Result<AnalysisMode, String> {
+        AnalysisMode::presets()
+            .into_iter()
+            .find(|mode| mode.label() == label)
+            .ok_or_else(|| format!("unknown mode `{label}`"))
+    }
+
+    /// A short label for tables (inverse of [`AnalysisMode::from_label`]
+    /// for the presets).
     pub fn label(&self) -> &'static str {
         match self {
             AnalysisMode::Native => "native",
@@ -132,6 +153,32 @@ pub enum DetectorKind {
     Djit,
     /// Eraser-style lockset (baseline foil).
     LockSet,
+}
+
+impl DetectorKind {
+    /// Every detector, in table order.
+    pub const ALL: [DetectorKind; 3] = [
+        DetectorKind::FastTrack,
+        DetectorKind::Djit,
+        DetectorKind::LockSet,
+    ];
+
+    /// The detector whose [`name`](DetectorKind::name) is `name`.
+    pub fn from_name(name: &str) -> Result<DetectorKind, String> {
+        DetectorKind::ALL
+            .into_iter()
+            .find(|kind| kind.name() == name)
+            .ok_or_else(|| format!("unknown detector `{name}`"))
+    }
+
+    /// The detector's name (inverse of [`DetectorKind::from_name`]).
+    pub fn name(&self) -> &'static str {
+        match self {
+            DetectorKind::FastTrack => "fasttrack",
+            DetectorKind::Djit => "djit",
+            DetectorKind::LockSet => "lockset",
+        }
+    }
 }
 
 /// Complete configuration of one simulated run.
@@ -205,12 +252,7 @@ mod tests {
 
     #[test]
     fn labels_are_distinct() {
-        let modes = [
-            AnalysisMode::Native,
-            AnalysisMode::Continuous,
-            AnalysisMode::demand_hitm(),
-            AnalysisMode::demand_oracle(),
-        ];
+        let modes = AnalysisMode::presets();
         let labels: std::collections::HashSet<&str> = modes.iter().map(|m| m.label()).collect();
         assert_eq!(labels.len(), modes.len());
     }
@@ -234,6 +276,25 @@ mod tests {
         assert_eq!(indicator, ddrace_pmu::IndicatorMode::Oracle);
         assert_eq!(controller.min_on_accesses, u64::MAX);
         assert_eq!(AnalysisMode::demand_oracle_eager().label(), "demand-oracle");
+    }
+
+    #[test]
+    fn names_round_trip_and_reject_unknown() {
+        for label in ["native", "continuous", "demand-hitm", "demand-oracle"] {
+            assert_eq!(AnalysisMode::from_label(label).unwrap().label(), label);
+        }
+        for name in ["fasttrack", "djit", "lockset"] {
+            assert_eq!(DetectorKind::from_name(name).unwrap().name(), name);
+        }
+        // Near misses are errors (the CLI prints them), never a fallback.
+        for bad in ["demand-off", "Continuous", "demand", ""] {
+            let err = AnalysisMode::from_label(bad).unwrap_err();
+            assert_eq!(err, format!("unknown mode `{bad}`"));
+        }
+        for bad in ["FastTrack", "lock-set", ""] {
+            let err = DetectorKind::from_name(bad).unwrap_err();
+            assert_eq!(err, format!("unknown detector `{bad}`"));
+        }
     }
 
     #[test]

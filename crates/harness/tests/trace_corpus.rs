@@ -218,12 +218,6 @@ fn hostile_but_well_formed_traces_replay_everywhere() {
         ],
         vec![op(t0, Write { addr: far }), op(t0, AtomicRmw { addr: far })],
     ];
-    let modes = [
-        AnalysisMode::Native,
-        AnalysisMode::Continuous,
-        AnalysisMode::demand_hitm(),
-        AnalysisMode::demand_oracle(),
-    ];
     for events in cases {
         let mut writer = TraceWriter::new(Vec::new()).unwrap();
         writer.record_event(&TraceEvent::ThreadStarted {
@@ -234,12 +228,8 @@ fn hostile_but_well_formed_traces_replay_everywhere() {
             writer.record_event(event);
         }
         let bytes = writer.finish().unwrap();
-        for mode in modes {
-            for detector in [
-                DetectorKind::FastTrack,
-                DetectorKind::Djit,
-                DetectorKind::LockSet,
-            ] {
+        for mode in AnalysisMode::presets() {
+            for detector in DetectorKind::ALL {
                 let mut cfg = SimConfig::new(4, mode);
                 cfg.detector_kind = detector;
                 let result = replay(bytes.as_slice(), cfg, 0);

@@ -5,12 +5,14 @@
 //! seams so the data-access hot path — the part executed per memory
 //! access — touches only state *local* to the access:
 //!
-//! * **Per-thread clock caches.** FastTrack needs the acting thread's
-//!   epoch and vector clock on every access. In the monitor API a
-//!   thread's clock is only ever advanced by calls made with its own
-//!   token (fork and join are the *parent's* calls), so a copy refreshed
-//!   at the thread's own sync points is exact between sync points — the
-//!   data path reads it without the sync lock.
+//! * **One slot per thread.** FastTrack needs the acting thread's epoch
+//!   and vector clock on every access. In the monitor API a thread's
+//!   clock is only ever advanced by calls made with its own token (fork
+//!   and join are the *parent's* calls), so a copy refreshed at the
+//!   thread's own sync points is exact between sync points — the data
+//!   path reads it without the sync lock. The same slot holds the
+//!   thread's trace records not yet flushed (see `recorder.rs`), so a
+//!   recorded access locks one per-thread mutex for both.
 //! * **Address-sharded shadow state.** The `u64 → FtVarState` shadow map
 //!   becomes `N` [`ShadowTable`] shards behind per-shard mutexes, routed
 //!   by [`shard_of`]. Accesses to different shards never contend; the
@@ -26,25 +28,25 @@
 //!   first-detection report order — pinned byte-stable by the
 //!   equivalence tests.
 //!
-//! Synchronization operations still serialize on one sync lock (they
-//! mutate the happens-before clocks and must be globally ordered — the
-//! same property the trace recorder relies on), but sync is the rare
-//! path; the paper's premise is that data accesses outnumber sync by
-//! orders of magnitude.
+//! Synchronization serializes on one sync lock, through one entry point,
+//! [`Engine::on_events`]: it runs the caller's recording step and applies
+//! the events to the happens-before clocks in the same critical section,
+//! so the recorded sync order is the order the clocks saw. Sync is the
+//! rare path; the paper's premise is that data accesses outnumber sync
+//! by orders of magnitude.
 //!
-//! Lock order: `sync ≺ cache ≺ shard`. Sync-path callers hold the sync
-//! lock, then refresh per-thread caches; the data path locks its own
-//! cache, then exactly one shard; nothing ever holds two shards or takes
-//! the sync lock after a cache or shard. The recorder's locks nest
-//! strictly inside whichever of these paths invokes them (see
-//! `recorder.rs`).
+//! Lock order: `sync ≺ slot ≺ {shard, writer}`. Sync-path callers hold
+//! the sync lock and lock slots one at a time; the data path holds its
+//! own slot, then takes the trace writer (only to flush a full buffer)
+//! and one shard, one after the other, never both. Nothing holds two
+//! slots or two shards, or takes the sync lock after a slot or shard.
 
 use ddrace_detector::{
     ft_check_read, ft_check_read_batch, ft_check_write, ft_check_write_batch,
     merge_seq_report_sets_capped, AccessReport, DetectorConfig, DetectorStats, Epoch,
     FtBatchAccess, FtVarState, Granularity, HbClocks, RaceReportSet, SeqReportSet, VectorClock,
 };
-use ddrace_program::{AccessKind, Addr, BarrierId, Op, ThreadId};
+use ddrace_program::{AccessKind, Addr, Op, ThreadId, TraceEvent};
 use ddrace_shadow::{shard_of, ShadowTable};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -53,23 +55,28 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 /// segments cover every representable `ThreadId`.
 const REGISTRY_SEGMENTS: usize = 32;
 
-/// One thread's cached view of its own happens-before clock.
+/// One thread's slot: its cached view of its own happens-before clock,
+/// and the data ops it recorded since its last flush.
 #[derive(Debug)]
-struct CachedClock {
+pub(crate) struct ThreadSlot {
     epoch: Epoch,
     vc: VectorClock,
+    /// Trace records not yet flushed to the writer; always empty on a
+    /// monitor that does not record.
+    pub(crate) pending: Vec<Op>,
 }
 
-impl CachedClock {
+impl ThreadSlot {
     fn empty() -> Self {
-        CachedClock {
+        ThreadSlot {
             epoch: Epoch::ZERO,
             vc: VectorClock::new(),
+            pending: Vec::new(),
         }
     }
 }
 
-/// Lock-free-growable registry of per-thread clock caches.
+/// Lock-free-growable registry of per-thread slots.
 ///
 /// A `Vec` behind an `RwLock` would put a shared read lock on every data
 /// access; instead, slots live in power-of-two segments that are
@@ -77,24 +84,19 @@ impl CachedClock {
 /// index computation plus one atomic load — no lock shared across
 /// threads. Slot `i` (thread `ThreadId(i)`) lives in segment
 /// `log2(i+1)` at offset `i+1 - 2^seg`.
+#[derive(Default)]
 struct ThreadRegistry {
-    segments: [OnceLock<Box<[Mutex<CachedClock>]>>; REGISTRY_SEGMENTS],
+    segments: [OnceLock<Box<[Mutex<ThreadSlot>]>>; REGISTRY_SEGMENTS],
 }
 
 impl ThreadRegistry {
-    fn new() -> Self {
-        ThreadRegistry {
-            segments: [const { OnceLock::new() }; REGISTRY_SEGMENTS],
-        }
-    }
-
-    /// The cache slot for `tid`, allocating its segment on first touch.
-    fn slot(&self, tid: ThreadId) -> &Mutex<CachedClock> {
+    /// The slot for `tid`, allocating its segment on first touch.
+    fn slot(&self, tid: ThreadId) -> &Mutex<ThreadSlot> {
         let n = tid.index() + 1;
         let seg = n.ilog2() as usize;
         let segment = self.segments[seg].get_or_init(|| {
             (0..(1usize << seg))
-                .map(|_| Mutex::new(CachedClock::empty()))
+                .map(|_| Mutex::new(ThreadSlot::empty()))
                 .collect()
         });
         &segment[n - (1usize << seg)]
@@ -108,28 +110,18 @@ impl std::fmt::Debug for ThreadRegistry {
 }
 
 /// State mutated only under the sync lock.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct SyncState {
     clocks: HbClocks,
     sync_ops: u64,
 }
 
 /// One shard: a slice of the shadow map plus its reports and counters.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Shard {
     shadow: ShadowTable<FtVarState>,
     reports: SeqReportSet,
     stats: DetectorStats,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            shadow: ShadowTable::new(),
-            reports: SeqReportSet::new(),
-            stats: DetectorStats::default(),
-        }
-    }
 }
 
 /// The sharded engine. See the module docs for the architecture.
@@ -153,12 +145,9 @@ impl Engine {
             "shard count must be a power of two, got {shards}"
         );
         Engine {
-            sync: Mutex::new(SyncState {
-                clocks: HbClocks::new(),
-                sync_ops: 0,
-            }),
-            threads: ThreadRegistry::new(),
-            shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
+            sync: Mutex::default(),
+            threads: ThreadRegistry::default(),
+            shards: (0..shards).map(|_| Mutex::default()).collect(),
             ticket: AtomicU64::new(0),
             granularity: config.granularity,
             max_reports: config.max_reports,
@@ -170,117 +159,123 @@ impl Engine {
         self.shards.len()
     }
 
-    /// Refreshes `tid`'s cache from the authoritative clocks; the caller
-    /// holds the sync lock (`sync ≺ cache`).
-    fn refresh_cache(&self, sync: &SyncState, tid: ThreadId) {
-        let mut cache = self.threads.slot(tid).lock().unwrap();
-        cache.epoch = sync.clocks.epoch(tid);
-        cache.vc.clone_from(sync.clocks.thread(tid));
+    /// `tid`'s slot, locked (`slot` in the lock order). Inline: out of
+    /// line, it made the enabled data hook measurably slower.
+    #[inline]
+    pub(crate) fn slot(&self, tid: ThreadId) -> MutexGuard<'_, ThreadSlot> {
+        self.threads.slot(tid).lock().unwrap()
     }
 
-    /// Registers `tid` (started by `parent`), running `record` inside the
-    /// sync critical section so recorded trace order matches clock order.
-    pub(crate) fn on_thread_start(
-        &self,
-        tid: ThreadId,
-        parent: Option<ThreadId>,
-        record: impl FnOnce(),
-    ) {
-        let mut sync = self.sync.lock().unwrap();
-        record();
-        sync.clocks.on_thread_start(tid, parent);
-        self.refresh_cache(&sync, tid);
-        // Fork advances the parent's clock too.
-        if let Some(p) = parent {
-            self.refresh_cache(&sync, p);
+    /// Runs `f` on every allocated slot in thread-id order, locking one
+    /// slot at a time. Forks draw ids before they reach the sync lock, so
+    /// segments may be allocated out of order: a missing one is skipped.
+    pub(crate) fn for_each_slot(&self, mut f: impl FnMut(ThreadId, &mut ThreadSlot)) {
+        for (seg, segment) in self.threads.segments.iter().enumerate() {
+            let Some(slots) = segment.get() else { continue };
+            for (i, slot) in slots.iter().enumerate() {
+                let tid = ThreadId(((1usize << seg) - 1 + i) as u32);
+                f(tid, &mut slot.lock().unwrap());
+            }
         }
     }
 
-    /// Applies a join: `child` finishes, `parent` acquires its clock.
-    pub(crate) fn on_join(&self, parent: ThreadId, child: ThreadId, record: impl FnOnce()) {
-        let mut sync = self.sync.lock().unwrap();
-        record();
-        sync.clocks.on_thread_finish(child);
-        let op = Op::Join { child };
-        sync.sync_ops += 1;
-        sync.clocks.on_sync(parent, &op);
-        self.refresh_cache(&sync, parent);
+    /// Refreshes `tid`'s cached clock from the authoritative clocks; the
+    /// caller holds the sync lock (`sync ≺ slot`).
+    fn refresh(&self, sync: &SyncState, tid: ThreadId) {
+        let mut slot = self.slot(tid);
+        slot.epoch = sync.clocks.epoch(tid);
+        slot.vc.clone_from(sync.clocks.thread(tid));
     }
 
-    /// Applies a synchronization operation by `tid`.
-    pub(crate) fn on_sync(&self, tid: ThreadId, op: &Op, record: impl FnOnce()) {
+    /// The one sync entry point. Under the sync lock, runs `record`, then
+    /// applies `events` to the clocks in order — thread start, thread
+    /// finish, sync op, barrier release — and refreshes the slot of every
+    /// thread whose clock they advance. Recording and applying share one
+    /// critical section, so recorded order is clock order. Data-access
+    /// events are not passed here (their clocks do not move). Returns what
+    /// `record` returns.
+    pub(crate) fn on_events<R>(&self, events: &[TraceEvent], record: impl FnOnce() -> R) -> R {
         let mut sync = self.sync.lock().unwrap();
-        record();
-        if op.is_sync() {
-            sync.sync_ops += 1;
+        let recorded = record();
+        for event in events {
+            match event {
+                TraceEvent::ThreadStarted { tid, parent } => {
+                    sync.clocks.on_thread_start(*tid, *parent);
+                    self.refresh(&sync, *tid);
+                    // Fork advances the parent's clock too.
+                    if let Some(p) = parent {
+                        self.refresh(&sync, *p);
+                    }
+                }
+                TraceEvent::ThreadFinished { tid } => sync.clocks.on_thread_finish(*tid),
+                TraceEvent::Op { tid, op } => {
+                    if op.is_sync() {
+                        sync.sync_ops += 1;
+                    }
+                    sync.clocks.on_sync(*tid, op);
+                    self.refresh(&sync, *tid);
+                }
+                TraceEvent::BarrierReleased {
+                    barrier,
+                    participants,
+                } => {
+                    sync.clocks.on_barrier_release(*barrier, participants);
+                    for &p in participants {
+                        self.refresh(&sync, p);
+                    }
+                }
+            }
         }
-        sync.clocks.on_sync(tid, op);
-        self.refresh_cache(&sync, tid);
-    }
-
-    /// Applies a barrier release: every participant adopts the barrier's
-    /// accumulated clock. The live monitor API has no barriers — this is
-    /// the offline replay path, where recorded traces do.
-    pub(crate) fn on_barrier_release(&self, barrier: BarrierId, participants: &[ThreadId]) {
-        let mut sync = self.sync.lock().unwrap();
-        sync.clocks.on_barrier_release(barrier, participants);
-        for &p in participants {
-            self.refresh_cache(&sync, p);
-        }
+        recorded
     }
 
     /// Snapshot of `tid`'s cached `(epoch, vector clock)`. Between two of
-    /// `tid`'s sync points the cache is exact (see the module docs), so a
-    /// replay driver that snapshots lazily after each sync event gets the
-    /// same clocks a serialized detector would read at access time.
+    /// `tid`'s sync points the cached clock is exact (see the module
+    /// docs), so a replay driver that snapshots lazily after each sync
+    /// event gets the same clocks a serialized detector would read at
+    /// access time.
     pub(crate) fn clone_cached_clock(&self, tid: ThreadId) -> (Epoch, VectorClock) {
-        let cache = self.threads.slot(tid).lock().unwrap();
-        (cache.epoch, cache.vc.clone())
+        let slot = self.slot(tid);
+        (slot.epoch, slot.vc.clone())
     }
 
-    /// Replays a run of read accesses that all map to `shard`, under one
-    /// shard-lock acquisition. Races are recorded with their caller-chosen
-    /// sequence numbers ([`SeqReportSet::record_at`]): offline replay uses
-    /// the access's global trace index, so the post-merge sort reproduces
-    /// the serialized detector's first-detection order without the live
+    /// Replays a run of read (or, if `write`, write) accesses that all
+    /// map to `shard`, under one shard-lock acquisition. Races are
+    /// recorded with their caller-chosen sequence numbers
+    /// ([`SeqReportSet::record_at`]): offline replay uses the access's
+    /// global trace index, so the post-merge sort reproduces the
+    /// serialized detector's first-detection order without the live
     /// ticket.
-    pub(crate) fn replay_read_batch(&self, shard: usize, batch: &[FtBatchAccess<'_>]) {
+    pub(crate) fn replay_batch(&self, shard: usize, write: bool, batch: &[FtBatchAccess<'_>]) {
         let mut shard = self.shards[shard].lock().unwrap();
         let Shard {
             shadow,
             reports,
             stats,
         } = &mut *shard;
-        ft_check_read_batch(shadow, batch, stats, |report, seq| {
+        let on_race = |report, seq| {
             reports.record_at(report, seq);
-        });
+        };
+        if write {
+            ft_check_write_batch(shadow, batch, stats, on_race);
+        } else {
+            ft_check_read_batch(shadow, batch, stats, on_race);
+        }
     }
 
-    /// Write-access twin of [`Engine::replay_read_batch`].
-    pub(crate) fn replay_write_batch(&self, shard: usize, batch: &[FtBatchAccess<'_>]) {
-        let mut shard = self.shards[shard].lock().unwrap();
-        let Shard {
-            shadow,
-            reports,
-            stats,
-        } = &mut *shard;
-        ft_check_write_batch(shadow, batch, stats, |report, seq| {
-            reports.record_at(report, seq);
-        });
-    }
-
-    /// Runs `f` while holding the sync lock, quiescing sync-path hooks.
-    /// Trace shutdown uses this so the final drain-and-seal is a valid
-    /// continuation of the recorded sync order.
-    pub(crate) fn with_sync_held<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _sync = self.sync.lock().unwrap();
-        f()
-    }
-
-    /// Checks one data access: the hot path. Locks the acting thread's
-    /// own cache and the address's shard — never the sync lock.
-    pub(crate) fn on_access(&self, tid: ThreadId, addr: Addr, kind: AccessKind) -> AccessReport {
-        let cache = self.threads.slot(tid).lock().unwrap();
+    /// Checks one data access by `tid`: the hot path. Locks `tid`'s
+    /// slot, runs `record` on its pending trace records, then checks the
+    /// access under the same guard, locking the address's shard — never
+    /// the sync lock.
+    pub(crate) fn on_access(
+        &self,
+        tid: ThreadId,
+        addr: Addr,
+        kind: AccessKind,
+        record: impl FnOnce(&mut Vec<Op>),
+    ) -> AccessReport {
+        let mut slot = self.slot(tid);
+        record(&mut slot.pending);
         let key = self.granularity.key(addr);
         let mut shard = self.shards[shard_of(key, self.shards.len())]
             .lock()
@@ -295,9 +290,9 @@ impl Engine {
         stats.accesses_checked += 1;
         let var = shadow.get_or_insert_with(key, FtVarState::fresh);
         let (verdict, race) = if kind.is_write() {
-            ft_check_write(var, tid, addr, key, cache.epoch, &cache.vc, stats)
+            ft_check_write(var, tid, addr, key, slot.epoch, &slot.vc, stats)
         } else {
-            ft_check_read(var, tid, addr, key, cache.epoch, &cache.vc, stats)
+            ft_check_read(var, tid, addr, key, slot.epoch, &slot.vc, stats)
         };
         if let Some(report) = race {
             stats.races_observed += 1;
@@ -315,8 +310,7 @@ impl Engine {
     /// Merges per-shard report sets into global first-detection order,
     /// applying the `max_reports` cap *after* the merge. Live hooks never
     /// issue more tickets than the cap, so there it changes nothing.
-    /// Offline replay ([`Engine::replay_read_batch`] /
-    /// [`Engine::replay_write_batch`]) records uncapped, and the cap here
+    /// Offline replay ([`Engine::replay_batch`]) records uncapped, and the cap here
     /// equals a serialized detector capping at first detection: a race
     /// whose first-detection seq sorts past the cap never entered a
     /// serialized set either (so none of its occurrences merged).

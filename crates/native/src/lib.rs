@@ -9,7 +9,8 @@
 //! make it production-shaped rather than a test-only prototype:
 //!
 //! * **Sharded shadow state.** Data-access checks touch only the acting
-//!   thread's cached clock and the accessed address's shard (N
+//!   thread's own slot (its cached clock and, when recording, its
+//!   unflushed trace records) and the accessed address's shard (N
 //!   address-sharded `ShadowTable`s behind per-shard locks), so accesses
 //!   to different data never contend. Only synchronization operations —
 //!   the rare path — serialize on a global lock. See `engine.rs` and
@@ -23,9 +24,10 @@
 //!   split — so the happens-before clocks remain correct and enabling is
 //!   sound at any sync boundary.
 //! * **Accounted recording.** With [`Monitor::recording`], every issued
-//!   access record either reaches the trace or is counted in
-//!   [`Monitor::dropped_records`] — shutdown seals buffers instead of
-//!   silently clearing them (see `recorder.rs`).
+//!   record either reaches the trace or is counted in
+//!   [`Monitor::dropped_records`] — shutdown seals the recorder before it
+//!   drains the threads' slots, so no late record is silently lost, not
+//!   even one from a thread forked after shutdown (see `recorder.rs`).
 //!
 //! Because detection is happens-before-based, verdicts do not depend on
 //! the actual interleaving the OS produced: two accesses with no
@@ -140,9 +142,9 @@ impl Default for MonitorConfig {
 /// The race monitor: FastTrack for real threads on a sharded engine.
 ///
 /// Data-access hooks lock only the address's shard (plus the calling
-/// thread's own clock cache); sync hooks serialize on one sync lock, as
-/// they must — they mutate the global happens-before order. When
-/// disabled, data-access hooks are a single atomic load.
+/// thread's own slot); sync hooks serialize on one sync lock, as they
+/// must — they mutate the global happens-before order. When disabled,
+/// data-access hooks are a single atomic load.
 #[derive(Debug)]
 pub struct Monitor {
     engine: Engine,
@@ -193,12 +195,7 @@ impl Monitor {
         config: MonitorConfig,
         out: Box<dyn Write + Send>,
     ) -> io::Result<(Arc<Monitor>, ThreadToken)> {
-        let mut writer = TraceWriter::new(out)?;
-        writer.record_event(&TraceEvent::ThreadStarted {
-            tid: ThreadId(0),
-            parent: None,
-        });
-        let recorder = Recorder::new(writer, RECORD_FLUSH_THRESHOLD);
+        let recorder = Recorder::new(TraceWriter::new(out)?, RECORD_FLUSH_THRESHOLD);
         Ok(Self::build(config, Some(recorder)))
     }
 
@@ -210,7 +207,13 @@ impl Monitor {
             recorder,
         });
         let root = ThreadToken { tid: ThreadId(0) };
-        monitor.engine.on_thread_start(root.tid, None, || {});
+        monitor.sync(
+            &[],
+            &[TraceEvent::ThreadStarted {
+                tid: root.tid,
+                parent: None,
+            }],
+        );
         (monitor, root)
     }
 
@@ -240,10 +243,11 @@ impl Monitor {
         self.engine.shard_count()
     }
 
-    /// Flushes every per-thread buffer, seals them (late records are
-    /// counted in [`Monitor::dropped_records`], not lost silently),
-    /// writes the end-of-trace marker, and returns the number of records
-    /// written. Call once, after all monitored threads are joined.
+    /// Seals the recorder (late records are counted in
+    /// [`Monitor::dropped_records`], not lost silently), flushes every
+    /// thread's pending records, writes the end-of-trace marker, and
+    /// returns the number of records written. Call once, after all
+    /// monitored threads are joined.
     ///
     /// # Errors
     ///
@@ -254,10 +258,16 @@ impl Monitor {
             .recorder
             .as_ref()
             .ok_or("monitor was not created with Monitor::recording")?;
-        // Holding the sync lock quiesces sync hooks so the final flush
-        // order is a valid continuation of the recorded order; sealing
-        // (inside `finish`) closes the data-path straggler window.
-        self.engine.with_sync_held(|| rec.finish())
+        // Under the sync lock, with no events to apply: sync hooks are
+        // quiesced, so the final flush order is a valid continuation of
+        // the recorded order; sealing before the drain closes the
+        // data-path straggler window.
+        self.engine.on_events(&[], || {
+            rec.seal();
+            self.engine
+                .for_each_slot(|tid, slot| rec.flush(tid, &mut slot.pending));
+            rec.finish()
+        })
     }
 
     /// Records that arrived after [`Monitor::finish_recording`] and were
@@ -272,35 +282,29 @@ impl Monitor {
     /// thread.
     pub fn fork(&self, parent: ThreadToken) -> ThreadToken {
         let tid = ThreadId(self.next_tid.fetch_add(1, Ordering::Relaxed));
-        self.engine.on_thread_start(tid, Some(parent.tid), || {
-            if let Some(rec) = &self.recorder {
-                rec.register(tid);
-                rec.flush(parent.tid);
-                // Only the ThreadStarted edge: it is exactly what the
-                // live engine sees, so replay matches.
-                rec.append(TraceEvent::ThreadStarted {
-                    tid,
-                    parent: Some(parent.tid),
-                });
-            }
-        });
+        self.sync(
+            &[parent.tid],
+            &[TraceEvent::ThreadStarted {
+                tid,
+                parent: Some(parent.tid),
+            }],
+        );
         ThreadToken { tid }
     }
 
     /// Records that `parent` joined `child` (call **after** the real
     /// `JoinHandle::join` returns).
     pub fn join(&self, parent: ThreadToken, child: ThreadToken) {
-        self.engine.on_join(parent.tid, child.tid, || {
-            if let Some(rec) = &self.recorder {
-                rec.flush(child.tid);
-                rec.flush(parent.tid);
-                rec.append(TraceEvent::ThreadFinished { tid: child.tid });
-                rec.append(TraceEvent::Op {
+        self.sync(
+            &[child.tid, parent.tid],
+            &[
+                TraceEvent::ThreadFinished { tid: child.tid },
+                TraceEvent::Op {
                     tid: parent.tid,
                     op: Op::Join { child: child.tid },
-                });
-            }
-        });
+                },
+            ],
+        );
     }
 
     /// Records a read of `addr` by the calling thread. Returns `true` if
@@ -308,15 +312,7 @@ impl Monitor {
     /// monitor is disabled.
     #[inline]
     pub fn read(&self, token: ThreadToken, addr: Addr) -> bool {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return false;
-        }
-        if let Some(rec) = &self.recorder {
-            rec.buffer(token.tid, AccessKind::Read, addr);
-        }
-        self.engine
-            .on_access(token.tid, addr, AccessKind::Read)
-            .race
+        self.access(token, Op::Read { addr })
     }
 
     /// Records a write of `addr` by the calling thread. Returns `true`
@@ -324,15 +320,7 @@ impl Monitor {
     /// monitor is disabled.
     #[inline]
     pub fn write(&self, token: ThreadToken, addr: Addr) -> bool {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return false;
-        }
-        if let Some(rec) = &self.recorder {
-            rec.buffer(token.tid, AccessKind::Write, addr);
-        }
-        self.engine
-            .on_access(token.tid, addr, AccessKind::Write)
-            .race
+        self.access(token, Op::Write { addr })
     }
 
     /// Records that the calling thread acquired lock `lock_id` (call
@@ -381,32 +369,49 @@ impl Monitor {
     /// `true` if it completed a race.
     #[inline]
     pub fn relaxed_load(&self, token: ThreadToken, addr: Addr) -> bool {
-        self.relaxed_access(token, addr, AccessKind::RelaxedLoad)
+        self.access(token, Op::RelaxedLoad { addr })
     }
 
     /// Records a relaxed atomic store to `addr` (checked like
     /// [`write`](Self::write)). Returns `true` if it completed a race.
     #[inline]
     pub fn relaxed_store(&self, token: ThreadToken, addr: Addr) -> bool {
-        self.relaxed_access(token, addr, AccessKind::RelaxedStore)
+        self.access(token, Op::RelaxedStore { addr })
     }
 
     /// Records a relaxed atomic read-modify-write on `addr` (checked as
     /// its write half). Returns `true` if it completed a race.
     #[inline]
     pub fn relaxed_rmw(&self, token: ThreadToken, addr: Addr) -> bool {
-        self.relaxed_access(token, addr, AccessKind::RelaxedRmw)
+        self.access(token, Op::RelaxedRmw { addr })
     }
 
+    /// The one data hook. Disabled, it is a relaxed load and a branch at
+    /// the call site; enabled, it maps `op` to its word there (a constant
+    /// fold, since every caller passes a fixed variant) and leaves the
+    /// rest out of line.
     #[inline]
-    fn relaxed_access(&self, token: ThreadToken, addr: Addr, kind: AccessKind) -> bool {
+    fn access(&self, token: ThreadToken, op: Op) -> bool {
         if !self.enabled.load(Ordering::Relaxed) {
             return false;
         }
-        if let Some(rec) = &self.recorder {
-            rec.buffer(token.tid, kind, addr);
-        }
-        self.engine.on_access(token.tid, addr, kind).race
+        let Some((addr, kind)) = op.memory_word() else {
+            unreachable!("data hooks pass memory ops")
+        };
+        self.record_and_check(token.tid, op, addr, kind)
+    }
+
+    /// The enabled data hook: locks the thread's slot once, appends the
+    /// op to its pending records when recording, and checks the access
+    /// under the same guard.
+    #[inline(never)]
+    fn record_and_check(&self, tid: ThreadId, op: Op, addr: Addr, kind: AccessKind) -> bool {
+        let record = |pending: &mut Vec<Op>| {
+            if let Some(rec) = &self.recorder {
+                rec.buffer(tid, op, pending);
+            }
+        };
+        self.engine.on_access(tid, addr, kind, record).race
     }
 
     /// Records that the calling thread is arriving at a condvar wait on
@@ -456,14 +461,25 @@ impl Monitor {
         );
     }
 
-    /// Applies one sync op: recorded into the trace and the clocks
-    /// inside the same sync critical section, pinning recorded order to
-    /// processing order. Sync hooks run even while disabled.
+    /// Applies one sync op by `token`'s thread through [`Monitor::sync`].
     fn sync_op(&self, token: ThreadToken, op: Op) {
-        self.engine.on_sync(token.tid, &op, || {
+        self.sync(&[token.tid], &[TraceEvent::Op { tid: token.tid, op }]);
+    }
+
+    /// The one sync path: flushes the pending records of the threads in
+    /// `flush`, appends `events` to the trace and applies them to the
+    /// clocks, all in one sync critical section — what is recorded is, by
+    /// construction, what the clocks saw. Sync hooks run even while
+    /// disabled.
+    fn sync(&self, flush: &[ThreadId], events: &[TraceEvent]) {
+        self.engine.on_events(events, || {
             if let Some(rec) = &self.recorder {
-                rec.flush(token.tid);
-                rec.append(TraceEvent::Op { tid: token.tid, op });
+                for &tid in flush {
+                    rec.flush(tid, &mut self.engine.slot(tid).pending);
+                }
+                for event in events {
+                    rec.append(event);
+                }
             }
         });
     }
@@ -849,6 +865,15 @@ mod tests {
         // clock edge itself still applies).
         monitor.atomic(root, addr);
         assert_eq!(monitor.dropped_records(), 3);
+        // A thread forked after finish: its start, its accesses and its
+        // relaxed op are all counted, not buffered into a slot no drain
+        // will ever reach.
+        let late = monitor.fork(root);
+        for _ in 0..5 {
+            monitor.write(late, addr);
+        }
+        monitor.relaxed_store(late, addr);
+        assert_eq!(monitor.dropped_records(), 3 + 1 + 5 + 1);
         // The recorded trace still decodes cleanly and contains exactly
         // the pre-finish access.
         let writes = decode(&sink)

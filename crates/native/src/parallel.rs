@@ -8,12 +8,12 @@
 //! **byte-identical** to serial replay, in two phases per chunk:
 //!
 //! 1. **Cut-point pass (serial).** The decode thread drives every
-//!    synchronization event through the engine's sync path (the same
-//!    [`HbClocks`](ddrace_detector::HbClocks) + per-thread clock-cache
-//!    machinery the live monitor uses). A thread's vector clock only
+//!    synchronization event through the engine's one sync entry point
+//!    (the same [`HbClocks`](ddrace_detector::HbClocks) + per-thread
+//!    slot machinery the live monitor uses). A thread's vector clock only
 //!    changes at its own sync events (plus fork as parent, join, and
 //!    barrier releases naming it), so between two consecutive cut points
-//!    a lazily taken `(epoch, vc)` snapshot of the cache is *exactly*
+//!    a lazily taken `(epoch, vc)` snapshot of its slot is *exactly*
 //!    what a serialized detector would read at access time. Each data
 //!    access becomes a small descriptor — `(global seq, tid, addr,
 //!    shadow key, snapshot id)` — appended to the list of its
@@ -282,7 +282,8 @@ impl ParallelReplayDetector {
 
 impl RaceDetector for ParallelReplayDetector {
     fn on_thread_start(&mut self, tid: ThreadId, parent: Option<ThreadId>) {
-        self.engine.on_thread_start(tid, parent, || {});
+        self.engine
+            .on_events(&[TraceEvent::ThreadStarted { tid, parent }], || {});
         self.invalidate(tid);
         if let Some(p) = parent {
             self.invalidate(p);
@@ -295,12 +296,20 @@ impl RaceDetector for ParallelReplayDetector {
     }
 
     fn on_sync(&mut self, tid: ThreadId, op: &Op) {
-        self.engine.on_sync(tid, op, || {});
+        self.engine
+            .on_events(&[TraceEvent::Op { tid, op: *op }], || {});
         self.invalidate(tid);
     }
 
     fn on_barrier_release(&mut self, barrier: BarrierId, participants: &[ThreadId]) {
-        self.engine.on_barrier_release(barrier, participants);
+        // The copy is rare: one per barrier episode.
+        self.engine.on_events(
+            &[TraceEvent::BarrierReleased {
+                barrier,
+                participants: participants.to_vec(),
+            }],
+            || {},
+        );
         for &p in participants {
             self.invalidate(p);
         }
@@ -389,11 +398,7 @@ fn run_worker(engine: &Engine, rx: &Receiver<Chunk>) -> u64 {
                 while j < list.len() && list[j].write == write {
                     j += 1;
                 }
-                if write {
-                    engine.replay_write_batch(*shard as usize, &entries[i..j]);
-                } else {
-                    engine.replay_read_batch(*shard as usize, &entries[i..j]);
-                }
+                engine.replay_batch(*shard as usize, write, &entries[i..j]);
                 batches += 1;
                 i = j;
             }

@@ -1,67 +1,52 @@
 //! Trace recording for the native monitor, with *accounted* shutdown.
 //!
-//! Data accesses append to **per-thread buffers** (a shared read-lock to
-//! fetch the thread's own `Arc`, then that thread's uncontended mutex),
-//! so the hot path never serializes on a global lock; the single flush
-//! point is [`Recorder::drain`], reached only at the flush threshold or
-//! at a synchronization operation.
+//! Data accesses append to the acting thread's own slot in the engine's
+//! thread registry — the slot that also caches its clock, locked once per
+//! hook — so the hot path never serializes on a global lock; the single
+//! flush point is [`Recorder::flush`], reached only at the flush
+//! threshold, at a synchronization operation, or at shutdown.
 //!
 //! Sync operations are appended to the writer *while holding the sync
-//! lock*, after flushing the calling thread's buffer. That pins the
+//! lock*, after flushing the named threads' slots. That pins the
 //! recorded global sync order to the engine's processing order and keeps
 //! each thread's accesses between that thread's own surrounding syncs —
 //! exactly the ordering information happens-before replay needs.
 //!
-//! ## Why buffers are *sealed*, not just drained
+//! ## Why the recorder is *sealed*, not just drained
 //!
-//! Holding the sync lock does **not** quiesce the data hot path:
-//! `read`/`write` buffer before touching any engine state. An earlier
-//! revision drained all buffers under the detector lock and then took
-//! the writer — a straggler thread could buffer an access *between*
-//! those two steps and the record vanished silently (and any
-//! post-shutdown drain cleared buffers outright when the writer was
-//! gone). Now [`Recorder::finish`] drains **and seals** each buffer
-//! inside that buffer's own critical section; a concurrent hook either
-//! lands before sealing (drained into the trace) or after (counted in
-//! [`Recorder::dropped`]). Every issued record is therefore either in
-//! the trace or in the dropped count — never silently lost, an
-//! accounting the recorder stress tests assert exactly.
+//! Holding the sync lock does **not** quiesce the data hot path: a data
+//! hook takes only its own slot. Draining every slot and then taking the
+//! writer would leave a window in which a straggler buffers an access
+//! after its slot's drain, and the record would vanish silently. So
+//! shutdown seals the recorder (one flag, set under the sync lock) before
+//! it drains every slot. A hook that locks its slot before that slot's
+//! drain has its record drained into the trace; one that locks it after
+//! sees the flag (the slot mutex orders the two) and counts its record in
+//! [`Recorder::dropped`]. A thread forked after shutdown has no records
+//! to lose: its every hook sees the flag. Every issued record is
+//! therefore either in the trace or in the dropped count — never
+//! silently lost, an accounting the recorder stress tests assert exactly.
 //!
-//! Lock order within the recorder: buffer registry (`RwLock`) ≺ one
-//! buffer mutex ≺ writer mutex. These nest inside the monitor's
-//! `sync ≺ cache ≺ shard` order without cycles: sync-path calls hold the
-//! sync lock (never cache/shard locks) and the data path holds nothing.
+//! The writer mutex is the innermost lock: the data path takes it while
+//! holding its slot (and nothing else) to flush a full buffer, and the
+//! sync path while holding the sync lock and at most one slot.
 
-use ddrace_program::{AccessKind, Addr, Op, ThreadId, TraceEvent};
+use ddrace_program::{Op, ThreadId, TraceEvent};
 use ddrace_trace::TraceWriter;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
-/// One thread's pending data accesses. The owning thread id is stored
-/// explicitly — [`Recorder::drain`] attributes flushed accesses to
-/// `state.tid`, never to a position-derived id, so the buffer↔thread
-/// mapping cannot silently skew if registration ever becomes sparse.
-#[derive(Debug)]
-struct BufState {
-    tid: ThreadId,
-    /// Set by [`Recorder::finish`]; later appends are counted dropped.
-    sealed: bool,
-    entries: Vec<(AccessKind, Addr)>,
-}
-
-/// Owned via `Arc` so the hot path can drop the shared read lock before
-/// locking its own buffer.
-type ThreadBuffer = Arc<Mutex<BufState>>;
-
-/// Trace recording state; see the module docs.
+/// Trace recording state; see the module docs. The records themselves
+/// wait in the engine's per-thread slots until flushed.
 pub(crate) struct Recorder {
     writer: Mutex<Option<TraceWriter<Box<dyn Write + Send>>>>,
-    buffers: RwLock<Vec<ThreadBuffer>>,
     threshold: usize,
-    /// Records that arrived after shutdown (sealed buffer or taken
+    /// Records that arrived after shutdown (sealed recorder or taken
     /// writer) — counted, never silently discarded.
     dropped: AtomicU64,
+    /// Set by [`Recorder::seal`]; later data records are counted dropped.
+    sealed: AtomicBool,
 }
 
 impl std::fmt::Debug for Recorder {
@@ -73,125 +58,71 @@ impl std::fmt::Debug for Recorder {
     }
 }
 
-fn new_buffer(tid: ThreadId) -> ThreadBuffer {
-    Arc::new(Mutex::new(BufState {
-        tid,
-        sealed: false,
-        entries: Vec::new(),
-    }))
-}
-
 impl Recorder {
-    /// A recorder around an already-headered writer, with the root
-    /// thread's buffer registered.
+    /// A recorder around an already-headered writer.
     pub(crate) fn new(writer: TraceWriter<Box<dyn Write + Send>>, threshold: usize) -> Recorder {
         Recorder {
             writer: Mutex::new(Some(writer)),
-            buffers: RwLock::new(vec![new_buffer(ThreadId(0))]),
             threshold,
             dropped: AtomicU64::new(0),
+            sealed: AtomicBool::new(false),
         }
     }
 
-    /// Ensures a buffer exists for `tid` and asserts the slot↔tid
-    /// invariant: the buffer at index `i` belongs to `ThreadId(i)`.
-    /// (Forks serialize on the sync lock but can reach it out of id
-    /// order, so earlier slots are back-filled here.)
-    pub(crate) fn register(&self, tid: ThreadId) {
-        let mut bufs = self.buffers.write().unwrap();
-        while bufs.len() <= tid.index() {
-            let slot_tid = ThreadId(bufs.len() as u32);
-            bufs.push(new_buffer(slot_tid));
-        }
-        debug_assert_eq!(
-            bufs[tid.index()].lock().unwrap().tid,
-            tid,
-            "buffer slot {} must belong to its thread id",
-            tid.index()
-        );
-    }
-
-    /// Hot path: append one data access to the calling thread's buffer.
-    pub(crate) fn buffer(&self, tid: ThreadId, kind: AccessKind, addr: Addr) {
-        let buf = self.buffers.read().unwrap()[tid.index()].clone();
-        let mut state = buf.lock().unwrap();
-        if state.sealed {
+    /// Hot path: append one data op to `tid`'s pending records, which the
+    /// caller holds locked in `tid`'s slot.
+    pub(crate) fn buffer(&self, tid: ThreadId, op: Op, pending: &mut Vec<Op>) {
+        if self.sealed.load(Ordering::Relaxed) {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        state.entries.push((kind, addr));
-        if state.entries.len() >= self.threshold {
-            self.drain(&mut state);
+        pending.push(op);
+        if pending.len() >= self.threshold {
+            self.flush(tid, pending);
         }
     }
 
-    /// The single flush point: moves one buffer's accesses into the
-    /// shared writer, preserving their program order and attributing
-    /// them to the buffer's own thread id. If the writer is already
-    /// gone, the records are counted dropped — not silently cleared.
-    fn drain(&self, state: &mut BufState) {
+    /// The single flush point: moves `tid`'s pending records into the
+    /// shared writer, preserving their program order. If the writer is
+    /// already gone, the records are counted dropped — not silently
+    /// cleared.
+    pub(crate) fn flush(&self, tid: ThreadId, pending: &mut Vec<Op>) {
+        if pending.is_empty() {
+            return;
+        }
         let mut writer = self.writer.lock().unwrap();
         let Some(w) = writer.as_mut() else {
             self.dropped
-                .fetch_add(state.entries.len() as u64, Ordering::Relaxed);
-            state.entries.clear();
+                .fetch_add(pending.len() as u64, Ordering::Relaxed);
+            pending.clear();
             return;
         };
-        let tid = state.tid;
-        for (kind, addr) in state.entries.drain(..) {
-            let op = match kind {
-                AccessKind::Read => Op::Read { addr },
-                AccessKind::Write => Op::Write { addr },
-                AccessKind::AtomicRmw => Op::AtomicRmw { addr },
-                AccessKind::RelaxedLoad => Op::RelaxedLoad { addr },
-                AccessKind::RelaxedStore => Op::RelaxedStore { addr },
-                AccessKind::RelaxedRmw => Op::RelaxedRmw { addr },
-            };
+        for op in pending.drain(..) {
             w.record_event(&TraceEvent::Op { tid, op });
-        }
-    }
-
-    /// Flushes `tid`'s buffer if it has one and it is non-empty.
-    pub(crate) fn flush(&self, tid: ThreadId) {
-        let buf = {
-            let bufs = self.buffers.read().unwrap();
-            match bufs.get(tid.index()) {
-                Some(b) => b.clone(),
-                None => return,
-            }
-        };
-        let mut state = buf.lock().unwrap();
-        if !state.entries.is_empty() {
-            self.drain(&mut state);
         }
     }
 
     /// Appends one event directly to the writer (sync operations and
     /// thread lifecycle; callers hold the sync lock). After shutdown the
     /// event is counted dropped.
-    pub(crate) fn append(&self, event: TraceEvent) {
+    pub(crate) fn append(&self, event: &TraceEvent) {
         if let Some(w) = self.writer.lock().unwrap().as_mut() {
-            w.record_event(&event);
+            w.record_event(event);
         } else {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Drains and **seals** every buffer (each inside its own critical
-    /// section, closing the straggler window described in the module
-    /// docs), then takes the writer and finishes the trace. Returns the
-    /// number of records written.
+    /// Stops buffering: every data record issued after a hook sees this
+    /// is counted dropped. The caller holds the sync lock and drains
+    /// every slot next, then calls [`Recorder::finish`].
+    pub(crate) fn seal(&self) {
+        self.sealed.store(true, Ordering::Relaxed);
+    }
+
+    /// Takes the writer and finishes the trace. Returns the number of
+    /// records written.
     pub(crate) fn finish(&self) -> Result<u64, String> {
-        {
-            let bufs = self.buffers.read().unwrap();
-            for buf in bufs.iter() {
-                let mut state = buf.lock().unwrap();
-                if !state.entries.is_empty() {
-                    self.drain(&mut state);
-                }
-                state.sealed = true;
-            }
-        }
         let writer = self
             .writer
             .lock()
@@ -206,7 +137,7 @@ impl Recorder {
     }
 
     /// Number of records that arrived after shutdown and were dropped
-    /// (but counted): buffered accesses sealed out, drains with no
+    /// (but counted): data records after the seal, flushes with no
     /// writer, post-finish sync events.
     pub(crate) fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)

@@ -1,32 +1,19 @@
 //! Stress tests proving the recorder never *silently* drops an access
 //! record: every issued record is either decoded from the trace or
 //! counted in [`Monitor::dropped_records`]. Regression coverage for the
-//! two shutdown bugs the sealed-buffer design fixed (a writer-less
-//! `drain` clearing buffers, and the quiescence gap between the final
-//! drain and taking the writer).
+//! two shutdown bugs sealing fixed (a writer-less flush clearing
+//! buffers, and the quiescence gap between the final drain and taking
+//! the writer).
 //!
 //! `DDRACE_NATIVE_THREADS` selects one worker count (CI matrixes over
-//! 1 and 8); default runs both.
+//! 1, 8 and 64); default runs 1 and 8.
 
+mod common;
+
+use common::{thread_counts, SharedBuf};
 use ddrace_native::Monitor;
 use ddrace_program::{Op, TraceEvent};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// A shared `Vec<u8>` sink threads can write into and the test can read
-/// back after `finish_recording`.
-#[derive(Clone, Default, Debug)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl std::io::Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
 
 fn decode(sink: &SharedBuf) -> Vec<TraceEvent> {
     let bytes = sink.0.lock().unwrap().clone();
@@ -52,16 +39,9 @@ fn data_events(events: &[TraceEvent]) -> usize {
         .count()
 }
 
-fn worker_counts() -> Vec<usize> {
-    match std::env::var("DDRACE_NATIVE_THREADS") {
-        Ok(v) => vec![v.parse().expect("DDRACE_NATIVE_THREADS must be a number")],
-        Err(_) => vec![1, 8],
-    }
-}
-
 #[test]
 fn quiesced_shutdown_records_every_issued_access() {
-    for workers in worker_counts() {
+    for workers in thread_counts(&[1, 8]) {
         // Enough accesses per thread to cross the flush threshold several
         // times, interleaved with syncs that force mid-stream flushes.
         let per_thread = 3 * ddrace_native::RECORD_FLUSH_THRESHOLD + 37;
@@ -130,7 +110,7 @@ fn concurrent_finish_accounts_for_every_access() {
     // Threads keep issuing accesses *while* the main thread finishes the
     // recording — the exact straggler window the sealed buffers close.
     // No record may be silently lost: decoded + dropped == issued.
-    for workers in worker_counts() {
+    for workers in thread_counts(&[1, 8]) {
         let sink = SharedBuf::default();
         let (monitor, root) = Monitor::recording(Box::new(sink.clone())).unwrap();
         let issued = AtomicU64::new(0);

@@ -17,9 +17,13 @@
 //!   offline replay of the recorded trace, and is identical across shard
 //!   counts.
 
+mod common;
+
+use common::{thread_counts, SharedBuf};
 use ddrace_detector::{racy_keys, DetectorConfig, FastTrack, RaceDetector};
-use ddrace_native::{Monitor, MonitorConfig, ThreadToken};
+use ddrace_native::{Monitor, MonitorConfig, ThreadToken, DEFAULT_SHARDS, RECORD_FLUSH_THRESHOLD};
 use ddrace_program::{AccessKind, Addr, CondId, LockId, Op, ThreadId};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -296,52 +300,65 @@ fn scripted_drive_matches_serialized_fasttrack_at_every_shard_count() {
     }
 }
 
-/// A shared `Vec<u8>` sink threads can write into and the test can read
-/// back after `finish_recording`.
-#[derive(Clone, Default, Debug)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl std::io::Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
+/// Records the scripted drive at `shards` shards, then a forked thread
+/// whose writes cross the flush threshold three times, then its join.
+fn scripted_recording(shards: usize) -> Vec<u8> {
+    let sink = SharedBuf::default();
+    let (monitor, root) = Monitor::recording_with_monitor_config(
+        MonitorConfig {
+            detector: DetectorConfig::default(),
+            shards,
+        },
+        Box::new(sink.clone()),
+    )
+    .unwrap();
+    drive_monitor(&monitor, root, &script(8, 4000, 7));
+    let child = monitor.fork(root);
+    for i in 0..3 * RECORD_FLUSH_THRESHOLD as u64 + 37 {
+        monitor.write(child, Addr(0x20_0000 + i * 8));
     }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
+    monitor.join(root, child);
+    monitor.finish_recording().unwrap();
+    assert_eq!(monitor.dropped_records(), 0);
+    let bytes = sink.0.lock().unwrap().clone();
+    bytes
 }
 
 #[test]
 fn scripted_recording_is_byte_identical_across_shard_counts() {
-    let evs = script(8, 4000, 7);
-    let mut traces = Vec::new();
-    for shards in [1usize, 4, 64] {
-        let sink = SharedBuf::default();
-        let (monitor, root) = Monitor::recording_with_monitor_config(
-            MonitorConfig {
-                detector: DetectorConfig::default(),
-                shards,
-            },
-            Box::new(sink.clone()),
-        )
-        .unwrap();
-        drive_monitor(&monitor, root, &evs);
-        monitor.finish_recording().unwrap();
-        assert_eq!(monitor.dropped_records(), 0);
-        traces.push(sink.0.lock().unwrap().clone());
-    }
+    let traces = [1usize, 4, 64].map(scripted_recording);
     assert!(!traces[0].is_empty());
     assert_eq!(traces[0], traces[1], "1 vs 4 shards: trace bytes");
     assert_eq!(traces[1], traces[2], "4 vs 64 shards: trace bytes");
 }
 
-/// Thread counts for the real-thread layer: `DDRACE_NATIVE_THREADS`
-/// selects one (CI matrixes over it); default runs all three.
-fn thread_counts() -> Vec<usize> {
-    match std::env::var("DDRACE_NATIVE_THREADS") {
-        Ok(v) => vec![v.parse().expect("DDRACE_NATIVE_THREADS must be a number")],
-        Err(_) => vec![1, 8, 64],
+/// Pins the recorder's exact output at the default geometry (what
+/// `Monitor::recording` builds). Flush points decide where each thread's
+/// accesses land between the sync events, so a change to them shows up
+/// here even if it moves every shard count the same way.
+#[test]
+fn scripted_recording_bytes_match_golden() {
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/scripted_recording.ddrt");
+    let actual = scripted_recording(DEFAULT_SHARDS);
+    if std::env::var("DDRACE_UPDATE_GOLDEN").is_ok() {
+        std::fs::write(&path, &actual).unwrap();
+        return;
     }
+    let expected = std::fs::read(&path).unwrap_or_else(|e| {
+        panic!(
+            "{}: {e}\nrun with DDRACE_UPDATE_GOLDEN=1 to create it",
+            path.display()
+        )
+    });
+    assert_eq!(
+        expected,
+        actual,
+        "the native recording changed ({} vs {} bytes); if that is \
+         intentional, regenerate with DDRACE_UPDATE_GOLDEN=1",
+        expected.len(),
+        actual.len()
+    );
 }
 
 /// The real-thread workload: each worker hammers one racy word, one
@@ -417,7 +434,7 @@ fn run_workers(monitor: &Arc<Monitor>, root: ThreadToken, workers: usize, iters:
 
 #[test]
 fn real_threads_record_vs_live_and_shard_counts_agree() {
-    for workers in thread_counts() {
+    for workers in thread_counts(&[1, 8, 64]) {
         let iters = if workers >= 64 { 20 } else { 60 };
         let mut key_sets = Vec::new();
         for shards in [1usize, 64] {

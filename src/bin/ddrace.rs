@@ -213,16 +213,6 @@ fn parse_flags(
     Ok(flags)
 }
 
-fn parse_mode(s: &str) -> Result<AnalysisMode, String> {
-    Ok(match s {
-        "native" => AnalysisMode::Native,
-        "continuous" => AnalysisMode::Continuous,
-        "demand-hitm" => AnalysisMode::demand_hitm(),
-        "demand-oracle" => AnalysisMode::demand_oracle(),
-        other => return Err(format!("unknown mode `{other}`")),
-    })
-}
-
 /// Parses the numeric flag `--{key}`; `None` when it is absent.
 fn num_flag<T: std::str::FromStr>(
     flags: &HashMap<String, String>,
@@ -241,15 +231,6 @@ fn workers_flag(flags: &HashMap<String, String>) -> Result<usize, String> {
             .map(|n| n.get())
             .unwrap_or(4)
     }))
-}
-
-fn parse_detector(s: &str) -> Result<DetectorKind, String> {
-    Ok(match s {
-        "fasttrack" => DetectorKind::FastTrack,
-        "djit" => DetectorKind::Djit,
-        "lockset" => DetectorKind::LockSet,
-        other => return Err(format!("unknown detector `{other}`")),
-    })
 }
 
 /// Parses `--variants`: a preset name or comma-separated
@@ -297,7 +278,7 @@ fn parse_variant(s: &str) -> Result<JobVariant, String> {
                 })?);
             }
             "scale" => patch.scale = Some(Scale::from_name(value)?),
-            "detector" => patch.detector_kind = Some(parse_detector(value)?),
+            "detector" => patch.detector_kind = Some(DetectorKind::from_name(value)?),
             "period" => patch.sample_period = Some(num(value)?),
             "cooldown" => patch.cooldown_accesses = Some(num(value)?),
             "l1-sets" => patch.l1.get_or_insert(nehalem.l1).sets = num(value)? as usize,
@@ -391,7 +372,7 @@ fn sim_config(
     cores: usize,
     seed: u64,
 ) -> Result<SimConfig, String> {
-    let mode = parse_mode(
+    let mode = AnalysisMode::from_label(
         flags
             .get("mode")
             .map(String::as_str)
@@ -400,7 +381,7 @@ fn sim_config(
     let mut cfg = SimConfig::new(cores, mode);
     cfg.scheduler = SchedulerConfig::jittered(seed);
     if let Some(d) = flags.get("detector") {
-        cfg.detector_kind = parse_detector(d)?;
+        cfg.detector_kind = DetectorKind::from_name(d)?;
     }
     check_config(&cfg, "--cores")?;
     Ok(cfg)
@@ -536,12 +517,7 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
         "mode", "cycles", "slowdown", "races", "analyzed"
     );
     println!("{}", "-".repeat(60));
-    for mode in [
-        AnalysisMode::Native,
-        AnalysisMode::Continuous,
-        AnalysisMode::demand_hitm(),
-        AnalysisMode::demand_oracle(),
-    ] {
+    for mode in AnalysisMode::presets() {
         let r = run(mode)?;
         println!(
             "{:<14} {:>14} {:>9.1}x {:>7} {:>9.1}%",
@@ -601,7 +577,7 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> Result<(), String> {
         .map(String::as_str)
         .unwrap_or("native,continuous,demand-hitm")
         .split(',')
-        .map(parse_mode)
+        .map(AnalysisMode::from_label)
         .collect::<Result<Vec<_>, _>>()?;
     let scale = Scale::from_name(flags.get("scale").map(String::as_str).unwrap_or("small"))?;
     let seed: u64 = num_flag(flags, "seed")?.unwrap_or(42);
@@ -644,7 +620,7 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> Result<(), String> {
         builder = builder.variants(variants);
     }
     if let Some(d) = flags.get("detector") {
-        builder = builder.detector_kind(parse_detector(d)?);
+        builder = builder.detector_kind(DetectorKind::from_name(d)?);
     }
     if let Some(secs) = num_flag(flags, "timeout-secs")? {
         builder = builder.timeout(std::time::Duration::from_secs(secs));
@@ -858,14 +834,14 @@ fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
         .map(String::as_str)
         .unwrap_or("continuous")
         .split(',')
-        .map(parse_mode)
+        .map(AnalysisMode::from_label)
         .collect::<Result<Vec<_>, _>>()?;
     let detectors = flags
         .get("detectors")
         .map(String::as_str)
         .unwrap_or("fasttrack")
         .split(',')
-        .map(parse_detector)
+        .map(DetectorKind::from_name)
         .collect::<Result<Vec<_>, _>>()?;
 
     let cores = num_flag(flags, "cores")?.unwrap_or(8);
@@ -881,13 +857,8 @@ fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
             // Several detectors become a variant axis, so each trace ×
             // mode cell replays once per detector with a distinct label.
             builder = builder.variants(many.iter().map(|&kind| {
-                let name = match kind {
-                    DetectorKind::FastTrack => "fasttrack",
-                    DetectorKind::Djit => "djit",
-                    DetectorKind::LockSet => "lockset",
-                };
                 JobVariant::new(
-                    name,
+                    kind.name(),
                     ConfigPatch {
                         detector_kind: Some(kind),
                         ..ConfigPatch::default()
