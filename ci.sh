@@ -170,10 +170,11 @@ DDRACE_NATIVE_THREADS=64 cargo test -q -p ddrace-native --test recorder_stress
 # Both native suites again, optimized: release builds inline the hooks
 # and run the threads faster against each other, so a hook racing the
 # shutdown drain gets more chances to show. The drain walks every
-# registry segment; 64 threads span seven.
-echo "==> native recorder stress + shard equivalence in release at DDRACE_NATIVE_THREADS=64"
+# registry segment; 64 threads span seven. The crate's unit tests (the
+# sealed recorder, post-finish accounting) run here with inlined hooks too.
+echo "==> native unit tests, recorder stress + shard equivalence in release at DDRACE_NATIVE_THREADS=64"
 DDRACE_NATIVE_THREADS=64 cargo test -q --release -p ddrace-native \
-    --test recorder_stress --test shard_equivalence
+    --lib --test recorder_stress --test shard_equivalence
 
 # Parallel offline replay must be byte-identical to serial replay — same
 # reports, same order, same stats, same aggregate — at both ends of the

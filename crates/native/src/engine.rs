@@ -11,8 +11,9 @@
 //!   and join are the *parent's* calls), so a copy refreshed at the
 //!   thread's own sync points is exact between sync points — the data
 //!   path reads it without the sync lock. The same slot holds the
-//!   thread's trace records not yet flushed (see `recorder.rs`), so a
-//!   recorded access locks one per-thread mutex for both.
+//!   thread's trace records not yet flushed, already encoded as its
+//!   trace stream bytes and flushed as one run (see `recorder.rs`), so
+//!   a recorded access locks one per-thread mutex for both.
 //! * **Address-sharded shadow state.** The `u64 → FtVarState` shadow map
 //!   becomes `N` [`ShadowTable`] shards behind per-shard mutexes, routed
 //!   by [`shard_of`]. Accesses to different shards never contend; the
@@ -46,8 +47,9 @@ use ddrace_detector::{
     merge_seq_report_sets_capped, AccessReport, DetectorConfig, DetectorStats, Epoch,
     FtBatchAccess, FtVarState, Granularity, HbClocks, RaceReportSet, SeqReportSet, VectorClock,
 };
-use ddrace_program::{AccessKind, Addr, Op, ThreadId, TraceEvent};
+use ddrace_program::{AccessKind, Addr, ThreadId, TraceEvent};
 use ddrace_shadow::{shard_of, ShadowTable};
+use ddrace_trace::EncodedOps;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -61,9 +63,9 @@ const REGISTRY_SEGMENTS: usize = 32;
 pub(crate) struct ThreadSlot {
     epoch: Epoch,
     vc: VectorClock,
-    /// Trace records not yet flushed to the writer; always empty on a
-    /// monitor that does not record.
-    pub(crate) pending: Vec<Op>,
+    /// Trace records not yet flushed to the writer, already in stream
+    /// bytes; always empty on a monitor that does not record.
+    pub(crate) pending: EncodedOps,
 }
 
 impl ThreadSlot {
@@ -71,7 +73,7 @@ impl ThreadSlot {
         ThreadSlot {
             epoch: Epoch::ZERO,
             vc: VectorClock::new(),
-            pending: Vec::new(),
+            pending: EncodedOps::default(),
         }
     }
 }
@@ -272,7 +274,7 @@ impl Engine {
         tid: ThreadId,
         addr: Addr,
         kind: AccessKind,
-        record: impl FnOnce(&mut Vec<Op>),
+        record: impl FnOnce(&mut EncodedOps),
     ) -> AccessReport {
         let mut slot = self.slot(tid);
         record(&mut slot.pending);

@@ -10,11 +10,11 @@
 //!
 //! * **Sharded shadow state.** Data-access checks touch only the acting
 //!   thread's own slot (its cached clock and, when recording, its
-//!   unflushed trace records) and the accessed address's shard (N
-//!   address-sharded `ShadowTable`s behind per-shard locks), so accesses
-//!   to different data never contend. Only synchronization operations —
-//!   the rare path — serialize on a global lock. See `engine.rs` and
-//!   DESIGN.md ("Sharded shadow state").
+//!   unflushed trace records, already encoded) and the accessed
+//!   address's shard (N address-sharded `ShadowTable`s behind per-shard
+//!   locks), so accesses to different data never contend. Only
+//!   synchronization operations — the rare path — serialize on a global
+//!   lock. See `engine.rs` and DESIGN.md ("Sharded shadow state").
 //! * **A demand-driven toggle.** [`Monitor::disable`] turns the
 //!   data-access hooks into a single relaxed atomic load, mirroring the
 //!   paper's demand-driven mode on real threads: keep monitoring dormant
@@ -90,7 +90,7 @@ pub use sampler::{PmuToggle, ToggleConfig, ToggleStats};
 
 use ddrace_detector::{DetectorConfig, DetectorStats, RaceReport, RaceReportSet};
 use ddrace_program::{AccessKind, Addr, CondId, LockId, Op, ThreadId, TraceEvent};
-use ddrace_trace::TraceWriter;
+use ddrace_trace::{EncodedOps, TraceWriter};
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
@@ -401,12 +401,12 @@ impl Monitor {
         self.record_and_check(token.tid, op, addr, kind)
     }
 
-    /// The enabled data hook: locks the thread's slot once, appends the
-    /// op to its pending records when recording, and checks the access
+    /// The enabled data hook: locks the thread's slot once, encodes the
+    /// op into its pending records when recording, and checks the access
     /// under the same guard.
     #[inline(never)]
     fn record_and_check(&self, tid: ThreadId, op: Op, addr: Addr, kind: AccessKind) -> bool {
-        let record = |pending: &mut Vec<Op>| {
+        let record = |pending: &mut EncodedOps| {
             if let Some(rec) = &self.recorder {
                 rec.buffer(tid, op, pending);
             }

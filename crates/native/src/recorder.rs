@@ -1,10 +1,15 @@
 //! Trace recording for the native monitor, with *accounted* shutdown.
 //!
-//! Data accesses append to the acting thread's own slot in the engine's
-//! thread registry — the slot that also caches its clock, locked once per
-//! hook — so the hot path never serializes on a global lock; the single
-//! flush point is [`Recorder::flush`], reached only at the flush
-//! threshold, at a synchronization operation, or at shutdown.
+//! A data access is encoded at the hook, once: its opcode and varint go
+//! into the acting thread's own slot in the engine's thread registry —
+//! the slot that also caches its clock, locked once per hook — as that
+//! thread's DDRT stream bytes ([`EncodedOps`]), so the hot path never
+//! serializes on a global lock. The single flush point is
+//! [`Recorder::flush`], reached only at the flush threshold, at a
+//! synchronization operation, or at shutdown; it hands the whole buffer
+//! to the writer as one merge-order run ([`TraceWriter::append_ops`]),
+//! which closes frames after the same record as per-record appends
+//! would, so the trace bytes do not depend on where flushes fall.
 //!
 //! Sync operations are appended to the writer *while holding the sync
 //! lock*, after flushing the named threads' slots. That pins the
@@ -32,7 +37,7 @@
 //! sync path while holding the sync lock and at most one slot.
 
 use ddrace_program::{Op, ThreadId, TraceEvent};
-use ddrace_trace::TraceWriter;
+use ddrace_trace::{EncodedOps, TraceWriter};
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -69,24 +74,24 @@ impl Recorder {
         }
     }
 
-    /// Hot path: append one data op to `tid`'s pending records, which the
-    /// caller holds locked in `tid`'s slot.
-    pub(crate) fn buffer(&self, tid: ThreadId, op: Op, pending: &mut Vec<Op>) {
+    /// Hot path: encode one data op into `tid`'s pending records, which
+    /// the caller holds locked in `tid`'s slot.
+    pub(crate) fn buffer(&self, tid: ThreadId, op: Op, pending: &mut EncodedOps) {
         if self.sealed.load(Ordering::Relaxed) {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        pending.push(op);
+        pending.push(&op);
         if pending.len() >= self.threshold {
             self.flush(tid, pending);
         }
     }
 
-    /// The single flush point: moves `tid`'s pending records into the
-    /// shared writer, preserving their program order. If the writer is
+    /// The single flush point: appends `tid`'s pending records to the
+    /// shared writer as one run, in program order. If the writer is
     /// already gone, the records are counted dropped — not silently
     /// cleared.
-    pub(crate) fn flush(&self, tid: ThreadId, pending: &mut Vec<Op>) {
+    pub(crate) fn flush(&self, tid: ThreadId, pending: &mut EncodedOps) {
         if pending.is_empty() {
             return;
         }
@@ -97,9 +102,7 @@ impl Recorder {
             pending.clear();
             return;
         };
-        for op in pending.drain(..) {
-            w.record_event(&TraceEvent::Op { tid, op });
-        }
+        w.append_ops(tid.0, pending);
     }
 
     /// Appends one event directly to the writer (sync operations and

@@ -5,6 +5,10 @@
 //! buffers, and the quiescence gap between the final drain and taking
 //! the writer).
 //!
+//! Each recording must also equal the one-record-at-a-time re-encoding
+//! of its own events (`common::decode_recording`); at 8 threads and up
+//! it spans several frames, so a frame closes inside a flushed run.
+//!
 //! `DDRACE_NATIVE_THREADS` selects one worker count (CI matrixes over
 //! 1, 8 and 64); default runs 1 and 8.
 
@@ -14,13 +18,6 @@ use common::{thread_counts, SharedBuf};
 use ddrace_native::Monitor;
 use ddrace_program::{Op, TraceEvent};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-fn decode(sink: &SharedBuf) -> Vec<TraceEvent> {
-    let bytes = sink.0.lock().unwrap().clone();
-    let mut events = Vec::new();
-    ddrace_trace::decode_events_into(bytes.as_slice(), |e| events.push(e.clone())).unwrap();
-    events
-}
 
 /// Counts decoded plain data accesses (reads + writes; sync ops are
 /// appended directly by sync hooks and are not part of the accounting).
@@ -74,7 +71,7 @@ fn quiesced_shutdown_records_every_issued_access() {
         }
         monitor.finish_recording().unwrap();
 
-        let events = decode(&sink);
+        let events = sink.events();
         assert_eq!(
             data_events(&events) as u64,
             issued.load(Ordering::Relaxed),
@@ -134,7 +131,7 @@ fn concurrent_finish_accounts_for_every_access() {
             monitor.finish_recording().unwrap();
         });
 
-        let decoded = data_events(&decode(&sink)) as u64;
+        let decoded = data_events(&sink.events()) as u64;
         let dropped = monitor.dropped_records();
         let total = issued.load(Ordering::Relaxed);
         // The invariant is the equation, not any particular split: on a

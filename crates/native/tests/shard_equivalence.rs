@@ -16,10 +16,15 @@
 //!   schedule-independent invariants: the live racy-key set matches the
 //!   offline replay of the recorded trace, and is identical across shard
 //!   counts.
+//!
+//! Every recording both layers make must also equal the one-record-at-a-
+//! time re-encoding of its own events (`common::decode_recording`): the
+//! monitor appends each thread's flushed records as one run, and frames
+//! must still close after the same record.
 
 mod common;
 
-use common::{thread_counts, SharedBuf};
+use common::{decode_recording, thread_counts, SharedBuf};
 use ddrace_detector::{racy_keys, DetectorConfig, FastTrack, RaceDetector};
 use ddrace_native::{Monitor, MonitorConfig, ThreadToken, DEFAULT_SHARDS, RECORD_FLUSH_THRESHOLD};
 use ddrace_program::{AccessKind, Addr, CondId, LockId, Op, ThreadId};
@@ -321,6 +326,7 @@ fn scripted_recording(shards: usize) -> Vec<u8> {
     monitor.finish_recording().unwrap();
     assert_eq!(monitor.dropped_records(), 0);
     let bytes = sink.0.lock().unwrap().clone();
+    decode_recording(&bytes);
     bytes
 }
 
@@ -468,10 +474,10 @@ fn real_threads_record_vs_live_and_shard_counts_agree() {
             }
 
             // Offline replay reproduces the live racy-key set.
-            let bytes = sink.0.lock().unwrap().clone();
             let mut offline = FastTrack::new(DetectorConfig::default());
-            ddrace_trace::decode_events_into(bytes.as_slice(), |e| offline.replay_event(e))
-                .unwrap();
+            for event in &sink.events() {
+                offline.replay_event(event);
+            }
             assert_eq!(
                 racy_keys(offline.reports().reports()),
                 live_keys,

@@ -247,12 +247,49 @@ impl std::error::Error for TraceError {
 // writer
 // ---------------------------------------------------------------------------
 
+/// Op records of one thread, encoded ahead of the writer and appended to
+/// it as one merge-order run by [`TraceWriter::append_ops`]. A producer
+/// that buffers each thread's records before it takes a shared writer
+/// (the native monitor does) encodes every op once, where it happens,
+/// and the writer copies the whole run at once.
+#[derive(Debug, Default)]
+pub struct EncodedOps {
+    bytes: Vec<u8>,
+    records: usize,
+}
+
+impl EncodedOps {
+    /// Encodes `op` after the records already held.
+    pub fn push(&mut self, op: &Op) {
+        encode_op(&mut self.bytes, op);
+        self.records += 1;
+    }
+
+    /// Records held.
+    pub fn len(&self) -> usize {
+        self.records
+    }
+
+    /// Whether no record is held.
+    pub fn is_empty(&self) -> bool {
+        self.records == 0
+    }
+
+    /// Drops every record, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.records = 0;
+    }
+}
+
 /// Streaming trace writer: buffers records into per-thread streams and
 /// flushes a self-contained frame whenever the buffered payload crosses
 /// the threshold, so memory stays bounded regardless of trace length.
 ///
 /// Frame boundaries depend only on the record sequence and the threshold,
-/// never on timing — identical inputs produce byte-identical files.
+/// never on timing, nor on whether records arrive one at a time or as
+/// runs through [`TraceWriter::append_ops`] — identical inputs produce
+/// byte-identical files.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write> {
     out: Option<W>,
@@ -309,22 +346,62 @@ impl<W: Write> TraceWriter<W> {
         })
     }
 
-    /// Appends one encoded record to `stream`'s buffer: the shared tail of
-    /// every `record_*` entry point. `encode` writes the record body into
-    /// the stream buffer it is handed.
+    /// Appends one record to `stream`'s buffer; every `record_*` method
+    /// ends here. `encode` writes the record body into the stream buffer
+    /// it is handed.
     fn record_raw(&mut self, stream: u32, encode: impl FnOnce(&mut Vec<u8>)) {
         let buf = self.buffers.entry(stream).or_default();
         let before = buf.len();
         encode(buf);
-        self.pending += buf.len() - before;
+        let len = buf.len() - before;
+        self.commit_run(stream, len, 1);
+    }
+
+    /// The shared tail of every append: accounts `count` records of `len`
+    /// bytes just added to `stream`'s buffer, extends the merge order by
+    /// them, and closes the frame once the buffered payload reaches the
+    /// threshold. This is the one place a frame closes; a run handed in
+    /// by [`TraceWriter::append_ops`] reaches the threshold, if at all,
+    /// only at its last record, so frames close after the same record as
+    /// they would one record at a time.
+    fn commit_run(&mut self, stream: u32, len: usize, count: u64) {
+        self.pending += len;
         match self.merge.last_mut() {
-            Some((tid, run)) if *tid == stream => *run += 1,
-            _ => self.merge.push((stream, 1)),
+            Some((tid, run)) if *tid == stream => *run += count,
+            _ => self.merge.push((stream, count)),
         }
-        self.records += 1;
+        self.records += count;
         if self.pending >= self.threshold {
             self.flush_frame();
         }
+    }
+
+    /// Appends every record in `ops` to `stream` as one merge-order run,
+    /// and empties `ops` (keeping its allocation). The bytes are exactly
+    /// what one [`TraceWriter::record_event`] per record would write:
+    /// where the run crosses the frame threshold, it is cut after the
+    /// record that reaches it, and the rest starts the next frame.
+    pub fn append_ops(&mut self, stream: u32, ops: &mut EncodedOps) {
+        let mut bytes = ops.bytes.as_slice();
+        let mut records = ops.records;
+        while records > 0 {
+            // Between appends the buffered payload is below the
+            // threshold, so there is room for at least one byte.
+            let room = self.threshold - self.pending;
+            let (len, count) = if bytes.len() < room {
+                (bytes.len(), records)
+            } else {
+                ops_reaching(bytes, room)
+            };
+            self.buffers
+                .entry(stream)
+                .or_default()
+                .extend_from_slice(&bytes[..len]);
+            self.commit_run(stream, len, count as u64);
+            bytes = &bytes[len..];
+            records -= count;
+        }
+        ops.clear();
     }
 
     /// Appends one record. Infallible: I/O errors are stashed and
@@ -542,6 +619,30 @@ fn encode_op(buf: &mut Vec<u8>, op: &Op) {
             push_varint(buf, u64::from(cycles));
         }
     }
+}
+
+/// The shortest run of whole records at the front of `bytes`, as
+/// [`encode_op`] writes them, that holds at least `room` bytes, as
+/// `(bytes, records)`. `bytes` itself holds at least `room`.
+fn ops_reaching(bytes: &[u8], room: usize) -> (usize, usize) {
+    let (mut len, mut count) = (0, 0);
+    while len < room {
+        // The opcode, then one varint, or two for a barrier, a condvar
+        // wait or a condvar wake.
+        let varints = match bytes[len] {
+            OP_BARRIER | OP_COND_WAIT | OP_COND_WAKE => 2,
+            _ => 1,
+        };
+        len += 1;
+        for _ in 0..varints {
+            while bytes[len] & 0x80 != 0 {
+                len += 1;
+            }
+            len += 1;
+        }
+        count += 1;
+    }
+    (len, count)
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ use ddrace::{
     phoenix, racy, replay, AnalysisMode, RunResult, Scale, SchedulerConfig, SimConfig, Simulation,
     TraceWriter,
 };
-use ddrace_program::Trace;
+use ddrace_detector::{racy_keys, DetectorConfig};
+use ddrace_native::Monitor;
+use ddrace_program::{Addr, Trace};
+use std::io::Write;
+use std::sync::{Arc, Mutex};
 
 fn config(mode: AnalysisMode) -> SimConfig {
     let mut cfg = SimConfig::new(4, mode);
@@ -88,4 +92,63 @@ fn trace_ddrt_roundtrip() {
     let replayed = analyze(&bytes, AnalysisMode::Continuous);
     assert_eq!(replayed.makespan, live.makespan);
     assert_eq!(replayed.races.distinct, live.races.distinct);
+}
+
+/// An in-memory sink a recording monitor can own.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn native_recording_replays_to_the_live_racy_keys() {
+    const ITERS: u64 = 1500;
+    let sink = SharedBuf::default();
+    let (monitor, root) = Monitor::recording(Box::new(sink.clone())).unwrap();
+    let guard = Mutex::new(());
+    let (racy_word, guarded_word) = (Addr(0x1000), Addr(0x2000));
+    let tokens: Vec<_> = (0..4).map(|_| monitor.fork(root)).collect();
+    std::thread::scope(|scope| {
+        for (w, &token) in tokens.iter().enumerate() {
+            let (monitor, guard) = (&monitor, &guard);
+            scope.spawn(move || {
+                let private = 0x10_0000 * (w as u64 + 1);
+                for i in 0..ITERS {
+                    let own = Addr(private + i % 512 * 8);
+                    monitor.write(token, racy_word); // unsynchronized
+                    monitor.read(token, own);
+                    monitor.write(token, own);
+                    let held = guard.lock().unwrap();
+                    monitor.lock_acquired(token, 1);
+                    monitor.read(token, guarded_word);
+                    monitor.write(token, guarded_word);
+                    monitor.lock_released(token, 1);
+                    drop(held);
+                }
+            });
+        }
+    });
+    for token in tokens {
+        monitor.join(root, token);
+    }
+    monitor.finish_recording().unwrap();
+    let bytes = sink.0.lock().unwrap().clone();
+    assert!(bytes.len() > 64 * 1024, "only {} bytes", bytes.len());
+
+    // Racy keys, not `races.distinct`: which access pairs are reported
+    // depends on the order accesses reach the detector, and the live
+    // threads and the recorded merge order may differ there.
+    let live = racy_keys(&monitor.reports());
+    let racy_key = DetectorConfig::default().granularity.key(racy_word);
+    assert_eq!(live, [racy_key], "only the unsynchronized word races");
+    let replayed = analyze(&bytes, AnalysisMode::Continuous);
+    assert_eq!(racy_keys(&replayed.races.reports), live);
 }
