@@ -66,6 +66,15 @@ EXP_SMOKE_DIR=$(mktemp -d)
 DDRACE_SCALE=test DDRACE_RESULTS_DIR="$EXP_SMOKE_DIR" ./target/release/exp_all > /dev/null
 rm -rf "$EXP_SMOKE_DIR"
 
+# The runnable examples, end to end: clippy only builds them.
+# native_monitor is the walkthrough of `Monitor` (it asserts the bug is
+# caught and the fix is clean); tuning_lab sweeps the demand
+# controller's cooldown.
+echo "==> examples (release)"
+for example in quickstart race_hunt benchmark_tour tuning_lab native_monitor; do
+    cargo run --release -q --example "$example" > /dev/null
+done
+
 # Conformance fuzz smoke: a fixed-seed battery of generated specs through
 # the differential/metamorphic oracles. The generator's archetype wheel
 # includes the memory-model shapes (Channel, TaskPool, Publication plus

@@ -1,9 +1,10 @@
 //! Experiment A2 — cooldown-window ablation.
 //!
 //! Sweeps the controller's cooldown (accesses without observed sharing
-//! before analysis disables). Too eager a disable loses races whose
-//! accesses fall outside the enabled windows; too lazy a disable forfeits
-//! the speedup. The default sits on the knee.
+//! before analysis disables). Too eager a disable thrashes, paying the
+//! toggle cost on every enable; too lazy a disable decays toward
+//! continuous cost. The racy variables found on a sparse racy kernel show
+//! whether the shorter windows also lose races.
 
 use ddrace_bench::{print_table, ratio, run_one, run_one_with, save_json, ExpContext};
 use ddrace_core::{AnalysisMode, ControllerConfig};

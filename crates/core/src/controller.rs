@@ -110,16 +110,33 @@ impl DemandController {
     /// Panics in debug builds if called while analysis is off (only
     /// analyzed accesses may be reported).
     pub fn on_analyzed_access(&mut self, shared: bool) -> bool {
+        self.on_analyzed_accesses(1, shared)
+    }
+
+    /// `count` analyzed accesses completed, and `any_shared` says whether
+    /// the detector observed sharing on any of them. A quiet batch ends
+    /// where `count` quiet [`on_analyzed_access`](Self::on_analyzed_access)
+    /// calls would, and returns `true` if one of them would have
+    /// disabled. A batch with sharing restarts the quiet streak at its
+    /// end, wherever in it the sharing was.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if called while analysis is off.
+    pub fn on_analyzed_accesses(&mut self, count: u64, any_shared: bool) -> bool {
         debug_assert!(
             self.is_on(),
             "analyzed access reported while analysis is off"
         );
-        self.analyzed_since_enable += 1;
-        if shared {
+        if count == 0 {
+            return false;
+        }
+        self.analyzed_since_enable += count;
+        if any_shared {
             self.analyzed_since_sharing = 0;
             return false;
         }
-        self.analyzed_since_sharing += 1;
+        self.analyzed_since_sharing += count;
         if self.analyzed_since_enable >= self.config.min_on_accesses
             && self.analyzed_since_sharing >= self.config.cooldown_accesses
         {
@@ -205,6 +222,84 @@ mod tests {
         assert!(c.on_sharing_signal());
         assert!(c.is_on());
         assert_eq!(c.stats().enables, 2);
+    }
+
+    /// Where `c` stands: its state, its stats and, while on, both streaks.
+    fn position(c: &DemandController) -> (AnalysisState, ControllerStats, Option<(u64, u64)>) {
+        let streaks = (c.analyzed_since_enable, c.analyzed_since_sharing);
+        (c.state, c.stats, c.is_on().then_some(streaks))
+    }
+
+    /// Feeds `batches` of quiet accesses to one controller and the same
+    /// accesses one at a time to a twin, which stops at the access that
+    /// disables it. After every batch both stand in the same place, and
+    /// the batch returns `true` exactly when the twin disabled inside it.
+    fn assert_batches_match_single_accesses(config: ControllerConfig, batches: &[u64]) {
+        let mut batched = DemandController::new(config);
+        let mut single = DemandController::new(config);
+        batched.on_sharing_signal();
+        single.on_sharing_signal();
+        for (i, &n) in batches.iter().enumerate() {
+            if !batched.is_on() {
+                break;
+            }
+            let disabled = (0..n).any(|_| single.on_analyzed_access(false));
+            assert_eq!(
+                batched.on_analyzed_accesses(n, false),
+                disabled,
+                "{config:?}, batch {i} of {batches:?}"
+            );
+            assert_eq!(
+                position(&batched),
+                position(&single),
+                "{config:?}, {batches:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_quiet_batch_equals_that_many_quiet_accesses() {
+        // Cooldown above the minimum residency, then below it.
+        for (cooldown, min_on) in [(50u64, 20u64), (5, 30)] {
+            let config = ControllerConfig {
+                cooldown_accesses: cooldown,
+                min_on_accesses: min_on,
+                ..ControllerConfig::default()
+            };
+            let sizes = [
+                0,
+                1,
+                min_on - 1,
+                min_on,
+                min_on + 1,
+                cooldown - 1,
+                cooldown,
+                cooldown + 1,
+                3 * cooldown.max(min_on),
+            ];
+            for n in sizes {
+                assert_batches_match_single_accesses(config, &[n]);
+                // Enough batches of `n` to cross both thresholds.
+                let repeats = 2 * cooldown.max(min_on) / n.max(1) + 2;
+                assert_batches_match_single_accesses(config, &vec![n; repeats as usize]);
+                assert_batches_match_single_accesses(config, &[n, min_on - 1, 1, cooldown]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_shared_batch_restarts_the_streak_at_its_end() {
+        let mut c = small();
+        c.on_sharing_signal();
+        assert!(!c.on_analyzed_accesses(4, false));
+        // Nine quiet accesses one at a time would have disabled here; a
+        // batch with sharing anywhere in it restarts the streak instead.
+        assert!(!c.on_analyzed_accesses(10, true));
+        assert!(!c.on_analyzed_accesses(4, false));
+        assert!(c.is_on());
+        assert!(c.on_analyzed_accesses(1, false));
+        assert!(!c.is_on());
+        assert_eq!(c.stats().disables, 1);
     }
 
     #[test]

@@ -124,6 +124,10 @@ struct Shard {
     shadow: ShadowTable<FtVarState>,
     reports: SeqReportSet,
     stats: DetectorStats,
+    /// Checks of [`Engine::on_access`] whose verdict was `shared`: the
+    /// demand controller's input (see `sampler.rs`). Kept out of
+    /// [`DetectorStats`], whose fields every `RunResult` serializes.
+    shared: u64,
 }
 
 /// The sharded engine. See the module docs for the architecture.
@@ -254,6 +258,7 @@ impl Engine {
             shadow,
             reports,
             stats,
+            ..
         } = &mut *shard;
         let on_race = |report, seq| {
             reports.record_at(report, seq);
@@ -288,6 +293,7 @@ impl Engine {
             shadow,
             reports,
             stats,
+            shared,
         } = &mut *shard;
         stats.accesses_checked += 1;
         let var = shadow.get_or_insert_with(key, FtVarState::fresh);
@@ -296,6 +302,7 @@ impl Engine {
         } else {
             ft_check_read(var, tid, addr, key, slot.epoch, &slot.vc, stats)
         };
+        *shared += u64::from(verdict.shared);
         if let Some(report) = race {
             stats.races_observed += 1;
             reports.record(report, &self.ticket, self.max_reports);
@@ -320,6 +327,21 @@ impl Engine {
         let guards: Vec<MutexGuard<'_, Shard>> =
             self.shards.iter().map(|s| s.lock().unwrap()).collect();
         merge_seq_report_sets_capped(guards.iter().map(|g| &g.reports), self.max_reports)
+    }
+
+    /// Accesses checked and how many of them were `shared`, summed over
+    /// the shards one lock at a time as [`Engine::stats`] does: a check
+    /// racing the sum may be counted in this call or the next. Only
+    /// [`Engine::on_access`] counts `shared`; offline replay has no
+    /// demand toggle to feed.
+    pub(crate) fn checked_and_shared(&self) -> (u64, u64) {
+        self.shards.iter().fold((0, 0), |(checked, shared), shard| {
+            let shard = shard.lock().unwrap();
+            (
+                checked + shard.stats.accesses_checked,
+                shared + shard.shared,
+            )
+        })
     }
 
     /// Aggregated detector statistics: per-shard counters summed, plus

@@ -20,6 +20,8 @@
 //!   paper's demand-driven mode on real threads: keep monitoring dormant
 //!   until some indicator (a performance counter, a phase change, a
 //!   user signal) demands analysis, then [`Monitor::enable`] it.
+//!   [`PmuToggle`] runs the simulator's demand controller on counter
+//!   overflows and the detector's sharing verdicts.
 //!   Synchronization hooks stay on while disabled — exactly the paper's
 //!   split — so the happens-before clocks remain correct and enabling is
 //!   sound at any sync boundary.
@@ -227,8 +229,10 @@ impl Monitor {
     /// Turns data-access analysis (and recording) off: subsequent
     /// [`Monitor::read`]/[`Monitor::write`] hooks return after a single
     /// relaxed atomic load. Races completed while disabled are missed —
-    /// that is the demand-driven trade the paper quantifies; the
-    /// indicator deciding *when* to enable lives outside this crate.
+    /// that is the demand-driven trade the paper quantifies. A
+    /// [`PmuToggle`] decides when to disable and enable from the
+    /// detector's sharing verdicts and counter overflows; without one,
+    /// the caller decides.
     pub fn disable(&self) {
         self.enabled.store(false, Ordering::Relaxed);
     }
@@ -738,6 +742,89 @@ mod tests {
             })
         })
         .is_err());
+    }
+
+    #[test]
+    fn shard_summed_shared_count_matches_serialized_verdicts() {
+        // Thread 0 writes the read-shared words and forks threads 1 and
+        // 2, which alternate lock-guarded writes to one word, read the
+        // read-shared words and write private words.
+        #[derive(Clone, Copy)]
+        enum Step {
+            Fork,
+            Guarded(usize),
+            Read(usize, Addr),
+            Write(usize, Addr),
+        }
+        let guarded = Addr(0x1000);
+        let read_shared = |i: u64| Addr(0x2000 + i % 4 * 8);
+        let mut steps: Vec<Step> = (0..4).map(|i| Step::Write(0, read_shared(i))).collect();
+        steps.extend([Step::Fork, Step::Fork]);
+        for i in 0..600u64 {
+            let t = 1 + (i % 2) as usize;
+            steps.push(match i % 3 {
+                0 => Step::Guarded(t),
+                1 => Step::Read(t, read_shared(i)),
+                _ => Step::Write(t, Addr(0x10_0000 * t as u64 + i % 8 * 8)),
+            });
+        }
+
+        let mut oracle = FastTrack::new(DetectorConfig::default());
+        oracle.on_thread_start(ThreadId(0), None);
+        let (mut threads, mut shared) = (1, 0);
+        for step in &steps {
+            let (t, addr, kind) = match *step {
+                Step::Fork => {
+                    oracle.on_thread_start(ThreadId(threads), Some(ThreadId(0)));
+                    threads += 1;
+                    continue;
+                }
+                Step::Guarded(t) => (t, guarded, AccessKind::Write),
+                Step::Read(t, addr) => (t, addr, AccessKind::Read),
+                Step::Write(t, addr) => (t, addr, AccessKind::Write),
+            };
+            let tid = ThreadId(t as u32);
+            let lock = LockId(0);
+            let guard = matches!(step, Step::Guarded(_));
+            if guard {
+                oracle.on_sync(tid, &Op::Lock { lock });
+            }
+            shared += u64::from(oracle.on_access(tid, addr, kind).shared);
+            if guard {
+                oracle.on_sync(tid, &Op::Unlock { lock });
+            }
+        }
+        let checked = oracle.stats().accesses_checked;
+        assert!(0 < shared && shared < checked, "{shared} of {checked}");
+
+        for shards in [1, 64] {
+            let (monitor, root) = Monitor::with_monitor_config(MonitorConfig {
+                shards,
+                ..MonitorConfig::default()
+            });
+            let mut tokens = vec![root];
+            for step in &steps {
+                match *step {
+                    Step::Fork => tokens.push(monitor.fork(root)),
+                    Step::Guarded(t) => {
+                        monitor.lock_acquired(tokens[t], 0);
+                        monitor.write(tokens[t], guarded);
+                        monitor.lock_released(tokens[t], 0);
+                    }
+                    Step::Read(t, addr) => {
+                        monitor.read(tokens[t], addr);
+                    }
+                    Step::Write(t, addr) => {
+                        monitor.write(tokens[t], addr);
+                    }
+                }
+            }
+            assert_eq!(
+                monitor.engine.checked_and_shared(),
+                (checked, shared),
+                "{shards} shards"
+            );
+        }
     }
 
     /// A shared `Vec<u8>` sink threads can write into and the test can

@@ -1,35 +1,46 @@
-//! The hardware-driven demand toggle: counter overflows → `enable()`.
+//! The hardware-driven demand toggle: the paper's control loop on real
+//! threads.
 //!
-//! [`PmuToggle`] is the paper's control loop for real threads: a
-//! controller thread drains sampling overflows from per-thread counter
-//! backends ([`ddrace_pmu::backend`]) and toggles the [`Monitor`] —
-//! `enable()` the moment any thread's counter reports sharing, and
-//! `disable()` again once a cooldown passes with no further signals.
+//! [`PmuToggle`] runs the simulator's [`DemandController`] on a thread
+//! that polls the [`Monitor`]. Each poll drains sampling overflows from
+//! per-thread counter backends ([`ddrace_pmu::backend`]); an overflow is
+//! a sharing signal that `enable()`s a disabled monitor. While analysis
+//! is on, each poll also hands the controller the checks made since the
+//! last poll and whether any was `shared`, and the controller
+//! `disable()`s the monitor after `cooldown_accesses` checks in a row
+//! without sharing.
+//!
+//! A poll interval with any shared check restarts the quiet streak at
+//! its end, so the monitor disables at or after the point the per-access
+//! rule would, never before it (up to checks that race one poll's sum
+//! over the shards). Checks made while analysis is off are dropped, and
+//! an enabled monitor that checks nothing stays on.
 //!
 //! The backends come from [`open_backend`]'s fallback ladder, so the
 //! toggle works identically whether the host has real HITM counters, a
 //! degraded generic event, or only the deterministic simulator (whose
 //! feeders tests drive by hand). Detection *results* never depend on
 //! which backend fired — the monitor's detector sees the same accesses
-//! either way; only the enabled-window timing is hardware-driven, which
-//! is exactly the paper's accuracy-for-overhead trade.
+//! either way; only when the enabled windows open is hardware-driven,
+//! which is exactly the paper's accuracy-for-overhead trade.
 
 use crate::Monitor;
+use ddrace_core::{ControllerConfig, DemandController};
 use ddrace_pmu::backend::{open_backend, BackendConfig, BackendKind, OverflowSample, PmuBackend};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Tuning for the demand-driven toggle loop.
+/// Tuning for the demand-driven toggle loop. The disable rule is the
+/// simulator's, at [`ControllerConfig::default`].
 #[derive(Debug, Clone, Copy)]
 pub struct ToggleConfig {
     /// Sample-after value for counters opened by
     /// [`PmuToggle::register_current_thread`].
     pub period: u64,
-    /// How long detection stays enabled after the last overflow.
-    pub cooldown: Duration,
-    /// Controller poll interval (also bounds enable latency).
+    /// Controller poll interval: bounds the enable latency, and is the
+    /// granularity at which checked accesses reach the controller.
     pub poll_interval: Duration,
 }
 
@@ -40,7 +51,6 @@ impl Default for ToggleConfig {
             // 1000 is a safer default for generic fallback events,
             // which fire far more often than true HITMs.
             period: 1000,
-            cooldown: Duration::from_millis(5),
             poll_interval: Duration::from_micros(500),
         }
     }
@@ -53,9 +63,11 @@ pub struct ToggleStats {
     pub overflows: u64,
     /// Samples the backends reported lost (ring overwrite, suppression).
     pub lost: u64,
-    /// `Monitor::enable()` transitions driven by overflows.
+    /// `Monitor::enable()` transitions: overflows that found analysis
+    /// off.
     pub enables: u64,
-    /// Cooldown-driven `Monitor::disable()` transitions.
+    /// `Monitor::disable()` transitions: `cooldown_accesses` checks in a
+    /// row without sharing.
     pub disables: u64,
     /// Backends registered, by kind.
     pub sim_backends: u64,
@@ -72,11 +84,11 @@ struct Shared {
     backends: Mutex<Vec<Box<dyn PmuBackend>>>,
     overflows: AtomicU64,
     lost: AtomicU64,
-    enables: AtomicU64,
-    disables: AtomicU64,
+    controller: Mutex<DemandController>,
 }
 
-/// A demand-driven monitor toggle fed by counter backends.
+/// A demand-driven monitor toggle fed by counter backends and by the
+/// monitor's own sharing verdicts.
 ///
 /// Created with [`attach`](PmuToggle::attach), which puts the monitor in
 /// demand mode (disabled until a counter fires). Threads register their
@@ -84,13 +96,14 @@ struct Shared {
 /// [`register_current_thread`](PmuToggle::register_current_thread) (or
 /// tests inject pre-built backends with
 /// [`register_backend`](PmuToggle::register_backend));
-/// [`detach`](PmuToggle::detach) stops the controller, re-enables the
-/// monitor, and reports stats.
+/// [`detach`](PmuToggle::detach) stops the controller and reports stats.
+/// Dropping the toggle, detached or not, re-enables the monitor.
 #[derive(Debug)]
 pub struct PmuToggle {
     shared: Arc<Shared>,
     monitor: Arc<Monitor>,
-    controller: Option<JoinHandle<u64>>,
+    period: u64,
+    controller: Option<JoinHandle<()>>,
 }
 
 impl PmuToggle {
@@ -103,33 +116,35 @@ impl PmuToggle {
             backends: Mutex::new(Vec::new()),
             overflows: AtomicU64::new(0),
             lost: AtomicU64::new(0),
-            enables: AtomicU64::new(0),
-            disables: AtomicU64::new(0),
+            controller: Mutex::new(DemandController::new(ControllerConfig::default())),
         });
         let controller = {
             let shared = Arc::clone(&shared);
             let monitor = Arc::clone(&monitor);
             std::thread::Builder::new()
                 .name("ddrace-pmu-toggle".into())
-                .spawn(move || controller_loop(&shared, &monitor, config))
+                .spawn(move || controller_loop(&shared, &monitor, config.poll_interval))
                 .expect("spawn pmu toggle controller")
         };
         PmuToggle {
             shared,
             monitor,
+            period: config.period,
             controller: Some(controller),
         }
     }
 
     /// Opens a counter for the *calling* thread through the backend
-    /// fallback ladder, enables it, and hands it to the controller.
-    /// Returns the kind selected and the fallback reason, if any.
+    /// fallback ladder, with the `period` given to
+    /// [`attach`](PmuToggle::attach), enables it, and hands it to the
+    /// controller. Returns the kind selected and the fallback reason, if
+    /// any.
     ///
     /// Call from each worker thread after it starts: `perf_event_open`
     /// with `pid = 0` binds the counter to the calling thread, so the
     /// open must happen on the thread being measured.
-    pub fn register_current_thread(&self, config: ToggleConfig) -> (BackendKind, Option<String>) {
-        let selection = open_backend(BackendConfig::hitm_sampling(config.period));
+    pub fn register_current_thread(&self) -> (BackendKind, Option<String>) {
+        let selection = open_backend(BackendConfig::hitm_sampling(self.period));
         let kind = selection.backend.kind();
         let reason = selection.fallback.as_ref().map(|e| e.to_string());
         self.register_backend(selection.backend);
@@ -151,26 +166,22 @@ impl PmuToggle {
     /// Snapshot of the toggle counters so far (backend kinds and scale
     /// ratios are only known at [`detach`](PmuToggle::detach)).
     pub fn stats(&self) -> ToggleStats {
+        let controller = self.shared.controller.lock().unwrap().stats();
         ToggleStats {
             overflows: self.shared.overflows.load(Ordering::Relaxed),
             lost: self.shared.lost.load(Ordering::Relaxed),
-            enables: self.shared.enables.load(Ordering::Relaxed),
-            disables: self.shared.disables.load(Ordering::Relaxed),
+            enables: controller.enables,
+            disables: controller.disables,
             ..ToggleStats::default()
         }
     }
 
-    /// Stops the controller, re-enables the monitor (leaving it in
-    /// continuous mode), emits `pmu.*` telemetry on the calling thread,
-    /// and returns the final stats.
+    /// Stops the controller, emits `pmu.*` telemetry on the calling
+    /// thread, and returns the final stats. The monitor is left enabled
+    /// (continuous mode) as the toggle drops.
     pub fn detach(mut self) -> ToggleStats {
-        self.shared.stop.store(true, Ordering::Release);
-        let drained_in_loop = match self.controller.take() {
-            Some(handle) => handle.join().unwrap_or(0),
-            None => 0,
-        };
+        self.stop();
         let mut stats = self.stats();
-        stats.overflows = stats.overflows.max(drained_in_loop);
 
         // Final sweep: read each backend for multiplexing metadata and
         // drain any overflow delivered after the controller stopped.
@@ -194,8 +205,6 @@ impl PmuToggle {
         stats.min_scale_ratio_permille = min_ratio;
         drop(backends);
 
-        self.monitor.enable();
-
         ddrace_telemetry::counter("pmu.overflows", stats.overflows);
         ddrace_telemetry::counter("pmu.lost", stats.lost);
         ddrace_telemetry::counter("pmu.enables", stats.enables);
@@ -205,24 +214,28 @@ impl PmuToggle {
         ddrace_telemetry::gauge("pmu.scaled_ratio_permille", stats.min_scale_ratio_permille);
         stats
     }
-}
 
-impl Drop for PmuToggle {
-    fn drop(&mut self) {
+    /// Stops the controller thread and waits for its final drain.
+    fn stop(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
         if let Some(handle) = self.controller.take() {
             let _ = handle.join();
         }
-        // A dropped (not detached) toggle still must not leave the
-        // monitor stuck in the disabled state.
+    }
+}
+
+impl Drop for PmuToggle {
+    fn drop(&mut self) {
+        self.stop();
+        // Detached or dropped, the toggle must not leave the monitor
+        // stuck in the disabled state.
         self.monitor.enable();
     }
 }
 
-fn controller_loop(shared: &Shared, monitor: &Monitor, config: ToggleConfig) -> u64 {
+fn controller_loop(shared: &Shared, monitor: &Monitor, poll_interval: Duration) {
     let mut samples: Vec<OverflowSample> = Vec::new();
-    let mut last_signal: Option<Instant> = None;
-    let mut drained_total = 0u64;
+    let mut baseline = monitor.engine.checked_and_shared();
     loop {
         let stopping = shared.stop.load(Ordering::Acquire);
         samples.clear();
@@ -230,34 +243,33 @@ fn controller_loop(shared: &Shared, monitor: &Monitor, config: ToggleConfig) -> 
             let mut backends = shared.backends.lock().unwrap();
             for backend in backends.iter_mut() {
                 if let Ok(lost) = backend.drain(&mut samples) {
-                    if lost > 0 {
-                        shared.lost.fetch_add(lost, Ordering::Relaxed);
-                    }
+                    shared.lost.fetch_add(lost, Ordering::Relaxed);
                 }
             }
         }
-        if !samples.is_empty() {
-            drained_total += samples.len() as u64;
-            shared
-                .overflows
-                .fetch_add(samples.len() as u64, Ordering::Relaxed);
-            last_signal = Some(Instant::now());
-            if !monitor.is_enabled() {
-                monitor.enable();
-                shared.enables.fetch_add(1, Ordering::Relaxed);
-            }
-        } else if let Some(t) = last_signal {
-            if monitor.is_enabled() && t.elapsed() >= config.cooldown {
+        shared
+            .overflows
+            .fetch_add(samples.len() as u64, Ordering::Relaxed);
+        let (checked, shared_checks) = monitor.engine.checked_and_shared();
+        {
+            let mut controller = shared.controller.lock().unwrap();
+            if controller.is_on()
+                && controller.on_analyzed_accesses(checked - baseline.0, shared_checks > baseline.1)
+            {
                 monitor.disable();
-                shared.disables.fetch_add(1, Ordering::Relaxed);
-                last_signal = None;
+            }
+            if !samples.is_empty() && controller.on_sharing_signal() {
+                monitor.enable();
             }
         }
+        // A fresh baseline at every poll: checks still in flight after a
+        // disable fall into an interval the controller never sees.
+        baseline = (checked, shared_checks);
         if stopping {
             // One final drain pass ran above; deliver-then-exit so no
             // overflow produced before stop() is silently dropped.
-            return drained_total;
+            return;
         }
-        std::thread::sleep(config.poll_interval);
+        std::thread::sleep(poll_interval);
     }
 }
