@@ -180,10 +180,13 @@ DDRACE_NATIVE_THREADS=64 cargo test -q -p ddrace-native --test recorder_stress
 # and run the threads faster against each other, so a hook racing the
 # shutdown drain gets more chances to show. The drain walks every
 # registry segment; 64 threads span seven. The crate's unit tests (the
-# sealed recorder, post-finish accounting) run here with inlined hooks too.
-echo "==> native unit tests, recorder stress + shard equivalence in release at DDRACE_NATIVE_THREADS=64"
+# sealed recorder, post-finish accounting) run here with inlined hooks too,
+# and so does the demand toggle: its 1-shard monitor's guarded writes,
+# alternating between two threads, lock their own slot under the shard
+# lock while the toggle's thread sums the shards.
+echo "==> native unit tests, recorder stress, shard equivalence + pmu toggle in release at DDRACE_NATIVE_THREADS=64"
 DDRACE_NATIVE_THREADS=64 cargo test -q --release -p ddrace-native \
-    --lib --test recorder_stress --test shard_equivalence
+    --lib --test recorder_stress --test shard_equivalence --test pmu_toggle
 
 # Parallel offline replay must be byte-identical to serial replay — same
 # reports, same order, same stats, same aggregate — at both ends of the

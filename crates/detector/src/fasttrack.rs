@@ -10,7 +10,7 @@
 use crate::detector::{AccessReport, DetectorConfig, DetectorStats, Granularity, RaceDetector};
 use crate::hb::HbClocks;
 use crate::report::{RaceAccess, RaceKind, RaceReport, RaceReportSet};
-use crate::vc::{Epoch, VectorClock};
+use crate::vc::{ClockView, Epoch, VectorClock};
 use ddrace_program::{AccessKind, Addr, BarrierId, Op, ThreadId};
 use ddrace_shadow::ShadowTable;
 
@@ -54,10 +54,13 @@ impl FtVarState {
 
 /// Applies the FastTrack *read* rules to one shadow unit.
 ///
-/// `epoch` must be `tid`'s current epoch and `tvc` its current vector
-/// clock (FastTrack derives both from its own [`HbClocks`]; the sharded
-/// native monitor passes its per-thread cache, which is refreshed at
-/// every sync point and therefore identical between sync points).
+/// `epoch` must be `tid`'s current epoch and `tvc` a view of its current
+/// vector clock (FastTrack derives both from its own [`HbClocks`]; the
+/// sharded native monitor passes its per-thread cache, which is refreshed
+/// at every sync point and therefore identical between sync points). A
+/// unit that only `tid` has touched costs at most a read of `tid`'s own
+/// component; another thread's component is read only for a unit that
+/// thread touched last.
 /// Returns the access verdict plus the race to report, if any; the
 /// caller owns report recording and the `races_observed` counter.
 pub fn ft_check_read(
@@ -66,7 +69,7 @@ pub fn ft_check_read(
     addr: Addr,
     key: u64,
     epoch: Epoch,
-    tvc: &VectorClock,
+    tvc: &impl ClockView,
     stats: &mut DetectorStats,
 ) -> (AccessReport, Option<RaceReport>) {
     // Same-epoch fast path: this thread already read at this epoch.
@@ -139,14 +142,15 @@ pub fn ft_check_read(
 }
 
 /// Applies the FastTrack *write* rules to one shadow unit; the contract
-/// mirrors [`ft_check_read`].
+/// mirrors [`ft_check_read`]. A write that meets an escalated read set
+/// reads the whole clock.
 pub fn ft_check_write(
     var: &mut FtVarState,
     tid: ThreadId,
     addr: Addr,
     key: u64,
     epoch: Epoch,
-    tvc: &VectorClock,
+    tvc: &impl ClockView,
     stats: &mut DetectorStats,
 ) -> (AccessReport, Option<RaceReport>) {
     // Same-epoch fast path: this thread already wrote at this epoch.
@@ -201,21 +205,23 @@ pub fn ft_check_write(
                     clock: epoch.clock,
                 },
             }),
-            ReadState::Vc(vc) => vc.first_excess(tvc).map(|witness| RaceReport {
-                addr,
-                shadow_key: key,
-                kind: RaceKind::ReadWrite,
-                prior: RaceAccess {
-                    tid: witness,
-                    kind: AccessKind::Read,
-                    clock: vc.get(witness),
-                },
-                current: RaceAccess {
-                    tid,
-                    kind: AccessKind::Write,
-                    clock: epoch.clock,
-                },
-            }),
+            ReadState::Vc(vc) => tvc
+                .with_clock(|c| vc.first_excess(c))
+                .map(|witness| RaceReport {
+                    addr,
+                    shadow_key: key,
+                    kind: RaceKind::ReadWrite,
+                    prior: RaceAccess {
+                        tid: witness,
+                        kind: AccessKind::Read,
+                        clock: vc.get(witness),
+                    },
+                    current: RaceAccess {
+                        tid,
+                        kind: AccessKind::Write,
+                        clock: epoch.clock,
+                    },
+                }),
             _ => None,
         }
     };
@@ -431,6 +437,7 @@ impl RaceDetector for FastTrack {
 mod tests {
     use super::*;
     use ddrace_program::LockId;
+    use std::cell::{Cell, RefCell};
 
     const T0: ThreadId = ThreadId(0);
     const T1: ThreadId = ThreadId(1);
@@ -650,6 +657,105 @@ mod tests {
         d.on_sync(T1, &Op::AtomicRmw { addr: flag });
         assert!(!d.on_access(T1, data, AccessKind::Read).race);
         assert!(d.reports().is_empty());
+    }
+
+    /// A clock that logs the components a check reads and counts its
+    /// whole-clock reads.
+    #[derive(Default)]
+    struct CountingClock {
+        vc: VectorClock,
+        components: RefCell<Vec<ThreadId>>,
+        wholes: Cell<usize>,
+    }
+
+    impl ClockView for CountingClock {
+        fn component(&self, tid: ThreadId) -> u32 {
+            self.components.borrow_mut().push(tid);
+            self.vc.get(tid)
+        }
+
+        fn with_clock<R>(&self, f: impl FnOnce(&VectorClock) -> R) -> R {
+            self.wholes.set(self.wholes.get() + 1);
+            f(&self.vc)
+        }
+    }
+
+    /// One check of `kind` by `tid` at its clock `own`, after a fork from
+    /// T0 at 1. Returns the components it read and its whole-clock reads.
+    fn clock_reads(
+        var: &mut FtVarState,
+        tid: ThreadId,
+        own: u32,
+        kind: AccessKind,
+    ) -> (Vec<ThreadId>, usize) {
+        let mut clock = CountingClock::default();
+        clock.vc.set(T0, 1);
+        clock.vc.set(tid, own);
+        let epoch = Epoch::new(tid, own);
+        let mut stats = DetectorStats::default();
+        if kind.is_write() {
+            ft_check_write(var, tid, X, 0, epoch, &clock, &mut stats);
+        } else {
+            ft_check_read(var, tid, X, 0, epoch, &clock, &mut stats);
+        }
+        (clock.components.into_inner(), clock.wholes.get())
+    }
+
+    #[test]
+    fn units_only_the_acting_thread_touched_read_only_its_own_component() {
+        use AccessKind::{Read, Write};
+        let own_only = |(components, wholes): (Vec<ThreadId>, usize)| {
+            components.iter().all(|&t| t == T1) && wholes == 0
+        };
+        for first in [Read, Write] {
+            for second in [Read, Write] {
+                let mut var = FtVarState::fresh();
+                let case = format!("{first:?} then {second:?}");
+                assert!(
+                    own_only(clock_reads(&mut var, T1, 1, first)),
+                    "fresh: {case}"
+                );
+                assert!(
+                    own_only(clock_reads(&mut var, T1, 1, second)),
+                    "same epoch: {case}"
+                );
+                assert!(
+                    own_only(clock_reads(&mut var, T1, 2, second)),
+                    "later epoch: {case}"
+                );
+            }
+        }
+        // A read after its own write at an earlier epoch consults that
+        // write through the acting thread's own component, once.
+        let mut var = FtVarState::fresh();
+        clock_reads(&mut var, T1, 1, Write);
+        assert_eq!(clock_reads(&mut var, T1, 2, Read), (vec![T1], 0));
+    }
+
+    #[test]
+    fn a_unit_another_thread_wrote_last_reads_that_threads_component() {
+        for kind in [AccessKind::Read, AccessKind::Write] {
+            let mut var = FtVarState::fresh();
+            clock_reads(&mut var, T0, 1, AccessKind::Write);
+            assert_eq!(
+                clock_reads(&mut var, T1, 1, kind),
+                (vec![T0], 0),
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_write_meeting_an_escalated_read_set_reads_the_whole_clock() {
+        let mut var = FtVarState::fresh();
+        clock_reads(&mut var, T1, 1, AccessKind::Read);
+        clock_reads(&mut var, T2, 1, AccessKind::Read);
+        assert!(
+            matches!(var.read, ReadState::Vc(_)),
+            "concurrent reads escalate"
+        );
+        let (_, wholes) = clock_reads(&mut var, T0, 2, AccessKind::Write);
+        assert_eq!(wholes, 1);
     }
 
     #[test]

@@ -63,4 +63,4 @@ pub use report::{
     merge_seq_report_sets_capped, racy_keys, RaceAccess, RaceKind, RaceReport, RaceReportSet,
     SeqReportSet,
 };
-pub use vc::{Epoch, VectorClock, INLINE_THREADS};
+pub use vc::{ClockView, Epoch, VectorClock, INLINE_THREADS};

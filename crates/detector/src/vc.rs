@@ -181,6 +181,30 @@ impl VectorClock {
     }
 }
 
+/// A thread's vector clock as FastTrack's checks read it: one component
+/// at a time, or whole where a write meets an escalated read set
+/// ([`ft_check_write`](crate::ft_check_write)). A check asks for the acting
+/// thread's own component whenever the shadow unit last saw that thread,
+/// so an engine that keeps the thread's epoch at hand can answer it
+/// without fetching the rest of the clock.
+pub trait ClockView {
+    /// The component for `tid` (zero if never set).
+    fn component(&self, tid: ThreadId) -> u32;
+
+    /// Runs `f` on the whole clock.
+    fn with_clock<R>(&self, f: impl FnOnce(&VectorClock) -> R) -> R;
+}
+
+impl ClockView for VectorClock {
+    fn component(&self, tid: ThreadId) -> u32 {
+        self.get(tid)
+    }
+
+    fn with_clock<R>(&self, f: impl FnOnce(&VectorClock) -> R) -> R {
+        f(self)
+    }
+}
+
 impl Default for VectorClock {
     fn default() -> Self {
         Self::new()
@@ -284,9 +308,10 @@ impl Epoch {
     }
 
     /// Returns `true` if this epoch happens-before (or equals) the state
-    /// summarized by `vc` — i.e. `vc` has seen it.
-    pub fn visible_to(&self, vc: &VectorClock) -> bool {
-        self.clock <= vc.get(self.tid)
+    /// summarized by `vc` — i.e. `vc` has seen it. The bottom epoch is
+    /// visible to every clock without reading one.
+    pub fn visible_to(&self, vc: &impl ClockView) -> bool {
+        self.is_zero() || self.clock <= vc.component(self.tid)
     }
 
     /// Returns `true` if this is the bottom epoch.

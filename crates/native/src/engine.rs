@@ -5,15 +5,20 @@
 //! seams so the data-access hot path — the part executed per memory
 //! access — touches only state *local* to the access:
 //!
-//! * **One slot per thread.** FastTrack needs the acting thread's epoch
-//!   and vector clock on every access. In the monitor API a thread's
-//!   clock is only ever advanced by calls made with its own token (fork
-//!   and join are the *parent's* calls), so a copy refreshed at the
-//!   thread's own sync points is exact between sync points — the data
-//!   path reads it without the sync lock. The same slot holds the
-//!   thread's trace records not yet flushed, already encoded as its
-//!   trace stream bytes and flushed as one run (see `recorder.rs`), so
-//!   a recorded access locks one per-thread mutex for both.
+//! * **One cell per thread.** FastTrack needs the acting thread's epoch
+//!   on every access, and its vector clock only when the shadow unit was
+//!   last touched by another thread or a write meets an escalated read
+//!   set. In the monitor API a thread's clock is only ever advanced by
+//!   calls made with its own token (fork and join are the *parent's*
+//!   calls; see `ThreadToken`), so a copy refreshed at the thread's own
+//!   sync points is exact between sync points — the data path reads it
+//!   without the sync lock. The cell keeps the epoch's clock in an atomic,
+//!   which the check reads without a lock, beside a slot mutex that holds
+//!   the vector clock and the thread's trace records not yet flushed,
+//!   already encoded as its trace stream bytes and flushed as one run
+//!   (see `recorder.rs`). A check locks the slot at most once, and only
+//!   when it needs another thread's component; a recording monitor locks
+//!   it once more after the check, to buffer the record.
 //! * **Address-sharded shadow state.** The `u64 → FtVarState` shadow map
 //!   becomes `N` [`ShadowTable`] shards behind per-shard mutexes, routed
 //!   by [`shard_of`]. Accesses to different shards never contend; the
@@ -36,69 +41,125 @@
 //! rare path; the paper's premise is that data accesses outnumber sync
 //! by orders of magnitude.
 //!
-//! Lock order: `sync ≺ slot ≺ {shard, writer}`. Sync-path callers hold
-//! the sync lock and lock slots one at a time; the data path holds its
-//! own slot, then takes the trace writer (only to flush a full buffer)
-//! and one shard, one after the other, never both. Nothing holds two
-//! slots or two shards, or takes the sync lock after a slot or shard.
+//! Lock order: `sync ≺ shard ≺ slot ≺ writer`. The data path holds one
+//! shard and, only when its check needs another thread's clock
+//! component, its own slot inside it; it records after releasing the
+//! shard, holding its slot and then the trace writer (only to flush a
+//! full buffer). Sync-path callers hold the sync lock and lock slots one
+//! at a time, each then the writer to flush it. [`Engine::report_set`]
+//! holds every shard, taken in index order, and nothing else. Nothing
+//! holds two slots, nothing holding a slot or the writer waits for a
+//! shard, and nothing takes the sync lock after a shard or slot.
 
 use ddrace_detector::{
     ft_check_read, ft_check_read_batch, ft_check_write, ft_check_write_batch,
-    merge_seq_report_sets_capped, AccessReport, DetectorConfig, DetectorStats, Epoch,
+    merge_seq_report_sets_capped, AccessReport, ClockView, DetectorConfig, DetectorStats, Epoch,
     FtBatchAccess, FtVarState, Granularity, HbClocks, RaceReportSet, SeqReportSet, VectorClock,
 };
 use ddrace_program::{AccessKind, Addr, ThreadId, TraceEvent};
 use ddrace_shadow::{shard_of, ShadowTable};
 use ddrace_trace::EncodedOps;
-use std::sync::atomic::AtomicU64;
+use std::cell::OnceCell;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Maximum registry segments: segment `s` holds `2^s` thread slots, so 32
+/// Maximum registry segments: segment `s` holds `2^s` thread cells, so 32
 /// segments cover every representable `ThreadId`.
 const REGISTRY_SEGMENTS: usize = 32;
 
-/// One thread's slot: its cached view of its own happens-before clock,
-/// and the data ops it recorded since its last flush.
-#[derive(Debug)]
+/// One thread's entry in the registry: its own clock component, read by
+/// its data hooks without a lock, beside its slot.
+#[derive(Debug, Default)]
+pub(crate) struct ThreadCell {
+    /// The thread's own component of its clock, i.e. its epoch's clock.
+    /// Written by [`Engine::refresh`] under the sync lock, by calls made
+    /// with the thread's own token or its parent's fork (the
+    /// `ThreadToken` contract), so a relaxed load on the thread's own
+    /// data path sees the latest value.
+    clock: AtomicU32,
+    slot: Mutex<ThreadSlot>,
+}
+
+impl ThreadCell {
+    /// The thread's slot, locked (`slot` in the lock order). Inline: out
+    /// of line, it made the data hooks measurably slower.
+    #[inline]
+    pub(crate) fn slot(&self) -> MutexGuard<'_, ThreadSlot> {
+        self.slot.lock().unwrap()
+    }
+
+    /// `tid`'s current epoch; `self` must be `tid`'s cell.
+    #[inline]
+    fn epoch(&self, tid: ThreadId) -> Epoch {
+        Epoch::new(tid, self.clock.load(Ordering::Relaxed))
+    }
+}
+
+/// One thread's slot: its cached vector clock, and the data ops it
+/// recorded since its last flush.
+#[derive(Debug, Default)]
 pub(crate) struct ThreadSlot {
-    epoch: Epoch,
     vc: VectorClock,
     /// Trace records not yet flushed to the writer, already in stream
     /// bytes; always empty on a monitor that does not record.
     pub(crate) pending: EncodedOps,
 }
 
-impl ThreadSlot {
-    fn empty() -> Self {
-        ThreadSlot {
-            epoch: Epoch::ZERO,
-            vc: VectorClock::new(),
-            pending: EncodedOps::default(),
-        }
+/// The acting thread's clock as its data-path check reads it: its own
+/// component from the cell's epoch, without a lock; another thread's
+/// component, or the whole clock, from its slot, which the first such
+/// read locks while the caller holds a shard (`shard ≺ slot`) and which
+/// stays locked until the check ends, so a check locks it at most once.
+struct CellClock<'a> {
+    epoch: Epoch,
+    cell: &'a ThreadCell,
+    slot: OnceCell<MutexGuard<'a, ThreadSlot>>,
+}
+
+impl CellClock<'_> {
+    #[cold]
+    fn vc(&self) -> &VectorClock {
+        &self.slot.get_or_init(|| self.cell.slot()).vc
     }
 }
 
-/// Lock-free-growable registry of per-thread slots.
+impl ClockView for CellClock<'_> {
+    #[inline]
+    fn component(&self, tid: ThreadId) -> u32 {
+        if tid == self.epoch.tid {
+            self.epoch.clock
+        } else {
+            self.vc().get(tid)
+        }
+    }
+
+    fn with_clock<R>(&self, f: impl FnOnce(&VectorClock) -> R) -> R {
+        f(self.vc())
+    }
+}
+
+/// Lock-free-growable registry of per-thread cells.
 ///
 /// A `Vec` behind an `RwLock` would put a shared read lock on every data
-/// access; instead, slots live in power-of-two segments that are
-/// allocated at most once each (`OnceLock`), so looking up a slot is an
+/// access; instead, cells live in power-of-two segments that are
+/// allocated at most once each (`OnceLock`), so looking up a cell is an
 /// index computation plus one atomic load — no lock shared across
-/// threads. Slot `i` (thread `ThreadId(i)`) lives in segment
+/// threads. Cell `i` (thread `ThreadId(i)`) lives in segment
 /// `log2(i+1)` at offset `i+1 - 2^seg`.
 #[derive(Default)]
 struct ThreadRegistry {
-    segments: [OnceLock<Box<[Mutex<ThreadSlot>]>>; REGISTRY_SEGMENTS],
+    segments: [OnceLock<Box<[ThreadCell]>>; REGISTRY_SEGMENTS],
 }
 
 impl ThreadRegistry {
-    /// The slot for `tid`, allocating its segment on first touch.
-    fn slot(&self, tid: ThreadId) -> &Mutex<ThreadSlot> {
+    /// The cell for `tid`, allocating its segment on first touch.
+    #[inline]
+    fn cell(&self, tid: ThreadId) -> &ThreadCell {
         let n = tid.index() + 1;
         let seg = n.ilog2() as usize;
         let segment = self.segments[seg].get_or_init(|| {
             (0..(1usize << seg))
-                .map(|_| Mutex::new(ThreadSlot::empty()))
+                .map(|_| ThreadCell::default())
                 .collect()
         });
         &segment[n - (1usize << seg)]
@@ -165,11 +226,11 @@ impl Engine {
         self.shards.len()
     }
 
-    /// `tid`'s slot, locked (`slot` in the lock order). Inline: out of
-    /// line, it made the enabled data hook measurably slower.
+    /// `tid`'s registry cell: one lookup serves both steps of a data
+    /// hook, its check and its record.
     #[inline]
-    pub(crate) fn slot(&self, tid: ThreadId) -> MutexGuard<'_, ThreadSlot> {
-        self.threads.slot(tid).lock().unwrap()
+    pub(crate) fn cell(&self, tid: ThreadId) -> &ThreadCell {
+        self.threads.cell(tid)
     }
 
     /// Runs `f` on every allocated slot in thread-id order, locking one
@@ -177,20 +238,22 @@ impl Engine {
     /// segments may be allocated out of order: a missing one is skipped.
     pub(crate) fn for_each_slot(&self, mut f: impl FnMut(ThreadId, &mut ThreadSlot)) {
         for (seg, segment) in self.threads.segments.iter().enumerate() {
-            let Some(slots) = segment.get() else { continue };
-            for (i, slot) in slots.iter().enumerate() {
+            let Some(cells) = segment.get() else { continue };
+            for (i, cell) in cells.iter().enumerate() {
                 let tid = ThreadId(((1usize << seg) - 1 + i) as u32);
-                f(tid, &mut slot.lock().unwrap());
+                f(tid, &mut cell.slot());
             }
         }
     }
 
-    /// Refreshes `tid`'s cached clock from the authoritative clocks; the
-    /// caller holds the sync lock (`sync ≺ slot`).
+    /// Refreshes `tid`'s cached clock, and the epoch beside it, from the
+    /// authoritative clocks; the caller holds the sync lock
+    /// (`sync ≺ slot`).
     fn refresh(&self, sync: &SyncState, tid: ThreadId) {
-        let mut slot = self.slot(tid);
-        slot.epoch = sync.clocks.epoch(tid);
-        slot.vc.clone_from(sync.clocks.thread(tid));
+        let cell = self.cell(tid);
+        let vc = sync.clocks.thread(tid);
+        cell.slot().vc.clone_from(vc);
+        cell.clock.store(vc.get(tid), Ordering::Relaxed);
     }
 
     /// The one sync entry point. Under the sync lock, runs `record`, then
@@ -241,8 +304,8 @@ impl Engine {
     /// event gets the same clocks a serialized detector would read at
     /// access time.
     pub(crate) fn clone_cached_clock(&self, tid: ThreadId) -> (Epoch, VectorClock) {
-        let slot = self.slot(tid);
-        (slot.epoch, slot.vc.clone())
+        let cell = self.cell(tid);
+        (cell.epoch(tid), cell.slot().vc.clone())
     }
 
     /// Replays a run of read (or, if `write`, write) accesses that all
@@ -270,19 +333,27 @@ impl Engine {
         }
     }
 
-    /// Checks one data access by `tid`: the hot path. Locks `tid`'s
-    /// slot, runs `record` on its pending trace records, then checks the
-    /// access under the same guard, locking the address's shard — never
-    /// the sync lock.
+    /// Checks one data access by `tid`, whose registry cell is `cell`:
+    /// the hot path. Locks the address's shard and reads `tid`'s epoch
+    /// without a lock; it locks `tid`'s slot, under the shard and at most
+    /// once, only when the check needs another thread's clock component
+    /// or the whole clock (see [`ft_check_read`]) — never the sync lock. Inline: its
+    /// one caller is in `lib.rs`, and without the hint the release build
+    /// calls it out of line, about 2 ns slower per hook.
+    #[inline]
     pub(crate) fn on_access(
         &self,
         tid: ThreadId,
+        cell: &ThreadCell,
         addr: Addr,
         kind: AccessKind,
-        record: impl FnOnce(&mut EncodedOps),
     ) -> AccessReport {
-        let mut slot = self.slot(tid);
-        record(&mut slot.pending);
+        let epoch = cell.epoch(tid);
+        let clock = CellClock {
+            epoch,
+            cell,
+            slot: OnceCell::new(),
+        };
         let key = self.granularity.key(addr);
         let mut shard = self.shards[shard_of(key, self.shards.len())]
             .lock()
@@ -298,9 +369,9 @@ impl Engine {
         stats.accesses_checked += 1;
         let var = shadow.get_or_insert_with(key, FtVarState::fresh);
         let (verdict, race) = if kind.is_write() {
-            ft_check_write(var, tid, addr, key, slot.epoch, &slot.vc, stats)
+            ft_check_write(var, tid, addr, key, epoch, &clock, stats)
         } else {
-            ft_check_read(var, tid, addr, key, slot.epoch, &slot.vc, stats)
+            ft_check_read(var, tid, addr, key, epoch, &clock, stats)
         };
         *shared += u64::from(verdict.shared);
         if let Some(report) = race {
@@ -359,5 +430,31 @@ impl Engine {
             total.races_observed += s.races_observed;
         }
         total
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_check_locks_the_slot_only_for_another_threads_component_and_then_keeps_it() {
+        let (me, other) = (ThreadId(1), ThreadId(0));
+        let cell = ThreadCell::default();
+        cell.clock.store(3, Ordering::Relaxed);
+        cell.slot().vc.set(other, 5);
+        let clock = CellClock {
+            epoch: cell.epoch(me),
+            cell: &cell,
+            slot: OnceCell::new(),
+        };
+        assert_eq!(clock.component(me), 3);
+        assert!(cell.slot.try_lock().is_ok(), "own component: no lock");
+        assert_eq!(clock.component(other), 5);
+        assert!(cell.slot.try_lock().is_err(), "held to the check's end");
+        assert_eq!(clock.component(ThreadId(2)), 0);
+        assert_eq!(clock.with_clock(|vc| vc.get(other)), 5);
+        drop(clock);
+        assert!(cell.slot.try_lock().is_ok(), "released with the check");
     }
 }

@@ -8,13 +8,15 @@
 //! `std::thread`s, and get happens-before race reports. Three properties
 //! make it production-shaped rather than a test-only prototype:
 //!
-//! * **Sharded shadow state.** Data-access checks touch only the acting
-//!   thread's own slot (its cached clock and, when recording, its
-//!   unflushed trace records, already encoded) and the accessed
-//!   address's shard (N address-sharded `ShadowTable`s behind per-shard
-//!   locks), so accesses to different data never contend. Only
-//!   synchronization operations — the rare path — serialize on a global
-//!   lock. See `engine.rs` and DESIGN.md ("Sharded shadow state").
+//! * **Sharded shadow state.** A data-access check locks only the
+//!   accessed address's shard (N address-sharded `ShadowTable`s behind
+//!   per-shard locks) and reads the acting thread's epoch without a lock;
+//!   it locks the thread's own slot (its cached vector clock) only for a
+//!   word another thread touched last. A recording monitor then locks
+//!   that slot to buffer the thread's record, already encoded. Accesses
+//!   to different data never contend. Only synchronization operations —
+//!   the rare path — serialize on a global lock. See `engine.rs` and
+//!   DESIGN.md ("Sharded shadow state").
 //! * **A demand-driven toggle.** [`Monitor::disable`] turns the
 //!   data-access hooks into a single relaxed atomic load, mirroring the
 //!   paper's demand-driven mode on real threads: keep monitoring dormant
@@ -92,7 +94,7 @@ pub use sampler::{PmuToggle, ToggleConfig, ToggleStats};
 
 use ddrace_detector::{DetectorConfig, DetectorStats, RaceReport, RaceReportSet};
 use ddrace_program::{AccessKind, Addr, CondId, LockId, Op, ThreadId, TraceEvent};
-use ddrace_trace::{EncodedOps, TraceWriter};
+use ddrace_trace::TraceWriter;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
@@ -109,6 +111,16 @@ pub const DEFAULT_SHARDS: usize = 64;
 
 /// Identifies one registered thread to the monitor. Cheap to copy; send
 /// it into the thread it belongs to.
+///
+/// The contract the data hooks rest on: a token's hooks are called from
+/// one thread at a time (moving the token to another thread hands it
+/// over through whatever synchronizes the move, such as a spawn or a
+/// channel), and [`Monitor::fork`] and [`Monitor::join`] are the
+/// parent's calls. Only calls made with a token advance its thread's
+/// happens-before clock, so its data hooks read the clock's own
+/// component without a lock. Calling one token's hooks from two threads
+/// at once is not memory-unsafe, but its checks may then read a stale
+/// epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ThreadToken {
     tid: ThreadId,
@@ -143,10 +155,11 @@ impl Default for MonitorConfig {
 
 /// The race monitor: FastTrack for real threads on a sharded engine.
 ///
-/// Data-access hooks lock only the address's shard (plus the calling
-/// thread's own slot); sync hooks serialize on one sync lock, as they
-/// must — they mutate the global happens-before order. When disabled,
-/// data-access hooks are a single atomic load.
+/// Data-access hooks lock only the address's shard, plus the calling
+/// thread's own slot when the check needs another thread's clock
+/// component or the monitor records; sync hooks serialize on one sync
+/// lock, as they must — they mutate the global happens-before order.
+/// When disabled, data-access hooks are a single atomic load.
 #[derive(Debug)]
 pub struct Monitor {
     engine: Engine,
@@ -282,8 +295,8 @@ impl Monitor {
     }
 
     /// Registers a new thread forked by `parent`, recording the creation
-    /// happens-before edge. Call before (or as the first act of) the new
-    /// thread.
+    /// happens-before edge. Call in the parent, before the new thread
+    /// starts (the [`ThreadToken`] contract).
     pub fn fork(&self, parent: ThreadToken) -> ThreadToken {
         let tid = ThreadId(self.next_tid.fetch_add(1, Ordering::Relaxed));
         self.sync(
@@ -402,20 +415,21 @@ impl Monitor {
         let Some((addr, kind)) = op.memory_word() else {
             unreachable!("data hooks pass memory ops")
         };
-        self.record_and_check(token.tid, op, addr, kind)
+        self.check_and_record(token.tid, op, addr, kind)
     }
 
-    /// The enabled data hook: locks the thread's slot once, encodes the
-    /// op into its pending records when recording, and checks the access
-    /// under the same guard.
+    /// The enabled data hook: checks the access under its shard's lock,
+    /// then, on a recording monitor only, locks the thread's slot and
+    /// encodes the op into its pending records. Both steps share one
+    /// registry lookup.
     #[inline(never)]
-    fn record_and_check(&self, tid: ThreadId, op: Op, addr: Addr, kind: AccessKind) -> bool {
-        let record = |pending: &mut EncodedOps| {
-            if let Some(rec) = &self.recorder {
-                rec.buffer(tid, op, pending);
-            }
-        };
-        self.engine.on_access(tid, addr, kind, record).race
+    fn check_and_record(&self, tid: ThreadId, op: Op, addr: Addr, kind: AccessKind) -> bool {
+        let cell = self.engine.cell(tid);
+        let race = self.engine.on_access(tid, cell, addr, kind).race;
+        if let Some(rec) = &self.recorder {
+            rec.buffer(tid, op, &mut cell.slot().pending);
+        }
+        race
     }
 
     /// Records that the calling thread is arriving at a condvar wait on
@@ -479,7 +493,7 @@ impl Monitor {
         self.engine.on_events(events, || {
             if let Some(rec) = &self.recorder {
                 for &tid in flush {
-                    rec.flush(tid, &mut self.engine.slot(tid).pending);
+                    rec.flush(tid, &mut self.engine.cell(tid).slot().pending);
                 }
                 for event in events {
                     rec.append(event);

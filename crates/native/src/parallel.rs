@@ -10,10 +10,10 @@
 //! 1. **Cut-point pass (serial).** The decode thread drives every
 //!    synchronization event through the engine's one sync entry point
 //!    (the same [`HbClocks`](ddrace_detector::HbClocks) + per-thread
-//!    slot machinery the live monitor uses). A thread's vector clock only
+//!    cell machinery the live monitor uses). A thread's vector clock only
 //!    changes at its own sync events (plus fork as parent, join, and
 //!    barrier releases naming it), so between two consecutive cut points
-//!    a lazily taken `(epoch, vc)` snapshot of its slot is *exactly*
+//!    a lazily taken `(epoch, vc)` snapshot of its cell is *exactly*
 //!    what a serialized detector would read at access time. Each data
 //!    access becomes a small descriptor — `(global seq, tid, addr,
 //!    shadow key, snapshot id)` — appended to the list of its

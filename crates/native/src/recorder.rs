@@ -1,10 +1,11 @@
 //! Trace recording for the native monitor, with *accounted* shutdown.
 //!
-//! A data access is encoded at the hook, once: its opcode and varint go
-//! into the acting thread's own slot in the engine's thread registry —
-//! the slot that also caches its clock, locked once per hook — as that
-//! thread's DDRT stream bytes ([`EncodedOps`]), so the hot path never
-//! serializes on a global lock. The single flush point is
+//! A data access is encoded at the hook, once: after its check has
+//! released the address's shard, its opcode and varint go into the
+//! acting thread's own slot in the engine's thread registry — the slot
+//! that also caches its vector clock, locked once more for this — as
+//! that thread's DDRT stream bytes ([`EncodedOps`]), so the hot path
+//! never serializes on a global lock. The single flush point is
 //! [`Recorder::flush`], reached only at the flush threshold, at a
 //! synchronization operation, or at shutdown; it hands the whole buffer
 //! to the writer as one merge-order run ([`TraceWriter::append_ops`]),
@@ -20,9 +21,10 @@
 //! ## Why the recorder is *sealed*, not just drained
 //!
 //! Holding the sync lock does **not** quiesce the data hot path: a data
-//! hook takes only its own slot. Draining every slot and then taking the
-//! writer would leave a window in which a straggler buffers an access
-//! after its slot's drain, and the record would vanish silently. So
+//! hook takes only a shard and its own slot. Draining every slot and
+//! then taking the writer would leave a window in which a straggler
+//! buffers an access after its slot's drain, and the record would
+//! vanish silently. So
 //! shutdown seals the recorder (one flag, set under the sync lock) before
 //! it drains every slot. A hook that locks its slot before that slot's
 //! drain has its record drained into the trace; one that locks it after
@@ -33,8 +35,9 @@
 //! silently lost, an accounting the recorder stress tests assert exactly.
 //!
 //! The writer mutex is the innermost lock: the data path takes it while
-//! holding its slot (and nothing else) to flush a full buffer, and the
-//! sync path while holding the sync lock and at most one slot.
+//! holding its slot (and nothing else; its shard is already released) to
+//! flush a full buffer, and the sync path while holding the sync lock and
+//! at most one slot.
 
 use ddrace_program::{Op, ThreadId, TraceEvent};
 use ddrace_trace::{EncodedOps, TraceWriter};

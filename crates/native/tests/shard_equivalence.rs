@@ -14,8 +14,8 @@
 //! * **Real-thread runs** (thread counts 1/8/64, selectable via
 //!   `DDRACE_NATIVE_THREADS` for CI matrixing) assert the
 //!   schedule-independent invariants: the live racy-key set matches the
-//!   offline replay of the recorded trace, and is identical across shard
-//!   counts.
+//!   offline replay of the recorded trace, is identical across shard
+//!   counts, and is what a monitor that does not record finds too.
 //!
 //! Every recording both layers make must also equal the one-record-at-a-
 //! time re-encoding of its own events (`common::decode_recording`): the
@@ -482,6 +482,24 @@ fn real_threads_record_vs_live_and_shard_counts_agree() {
                 racy_keys(offline.reports().reports()),
                 live_keys,
                 "{workers} threads, {shards} shards: record/replay oracle"
+            );
+
+            // The same workload on a monitor that does not record. A check
+            // that needs another thread's clock component locks its own
+            // slot under the shard lock; at 1 shard every such lock nests
+            // under the one shard lock while other threads' sync hooks
+            // refresh their own slots.
+            let (plain, root) = monitor_at(shards, DetectorConfig::default());
+            run_workers(&plain, root, workers, iters);
+            assert_eq!(
+                plain.stats().accesses_checked,
+                (workers * (1 + 8 * iters)) as u64,
+                "{workers} threads, {shards} shards, not recording: every data hook is checked"
+            );
+            assert_eq!(
+                racy_keys(&plain.reports()),
+                live_keys,
+                "{workers} threads, {shards} shards: recording does not change the verdicts"
             );
             key_sets.push(live_keys);
         }
